@@ -55,6 +55,8 @@ class CircleFunction:
         if samples.ndim != 1:
             raise ValueError("samples must be a one-dimensional array")
         _check_grid_size(samples.size)
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite")
         samples.setflags(write=False)
         self.samples = samples
         self._coeffs = None

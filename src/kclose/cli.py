@@ -17,7 +17,7 @@ import numpy as np
 from . import hardy, schatten
 from .circle import CircleFunction
 from .factorize import holder_factor, outer_function, sqrt_factor
-from .harness import SUITES, ExperimentConfig, run_suite
+from .harness import SUITES, ExperimentConfig, _serialize_payload, run_suite
 from .kfunctional import CoupleId, kt_bruteforce, kt_closed_form
 from .schatten import MatrixOperator, MatrixValuedFunction
 
@@ -38,7 +38,10 @@ def _load_payload(path: str):
     if tag == "matrix_valued" or "npoints" in data:
         return MatrixValuedFunction.from_json(data)
     if tag == "array":
-        return np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("array entries must be finite")
+        return arr
     return CircleFunction.from_json(data)
 
 
@@ -49,17 +52,6 @@ def _emit(obj: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tagged(x) -> dict:
-    if isinstance(x, CircleFunction):
-        return {"type": "circle", **x.to_json()}
-    if isinstance(x, MatrixOperator):
-        return {"type": "matrix", **x.to_json()}
-    if isinstance(x, MatrixValuedFunction):
-        return {"type": "matrix_valued", **x.to_json()}
-    arr = np.asarray(x)
-    return {"type": "array", "re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ def _cmd_factor(args) -> int:
                 "rotation_re": float(fac.blaschke.rotation.real),
                 "rotation_im": float(fac.blaschke.rotation.imag),
             },
-            "outer": _tagged(fac.outer.boundary),
+            "outer": _serialize_payload(fac.outer.boundary),
             "residual": float(fac.residual),
         }, args.out)
     elif args.what == "outer":
@@ -107,7 +99,7 @@ def _cmd_factor(args) -> int:
         o = outer_function(w)
         _emit({
             "kind": "outer",
-            "outer": _tagged(o.boundary),
+            "outer": _serialize_payload(o.boundary),
             "modulus_residual": float(o.modulus_residual),
             "analyticity_residual": float(o.analyticity_residual),
         }, args.out)
@@ -115,8 +107,8 @@ def _cmd_factor(args) -> int:
         fac = holder_factor(f, args.p, args.r, args.s)
         _emit({
             "kind": "holder",
-            "g": _tagged(fac.g),
-            "h": _tagged(fac.h),
+            "g": _serialize_payload(fac.g),
+            "h": _serialize_payload(fac.h),
             "residual": float(fac.residual),
             "norms": {k: float(v) for k, v in fac.norms.items()},
         }, args.out)
@@ -130,8 +122,8 @@ def _decomposition_json(dec) -> dict:
         "norm0": float(dec.norm0),
         "norm1": float(dec.norm1),
         "membership_residual": float(dec.membership_residual),
-        "x0": _tagged(dec.x0),
-        "x1": _tagged(dec.x1),
+        "x0": _serialize_payload(dec.x0),
+        "x1": _serialize_payload(dec.x1),
     }
 
 

@@ -31,6 +31,7 @@ from .factorize import sqrt_factor
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
+    best_truncation_level,
     kt_bruteforce,
     kt_closed_form,
     make_decomposition,
@@ -46,8 +47,6 @@ __all__ = [
     "SimultaneousResult",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def _zero_split(couple: CoupleId, t: float, f: CircleFunction) -> CoupleDecomposition:
     z = np.zeros(f.n, dtype=np.complex128)
@@ -55,32 +54,13 @@ def _zero_split(couple: CoupleId, t: float, f: CircleFunction) -> CoupleDecompos
 
 
 def _best_truncation_level(f: CircleFunction, p0: float, p1: float, t: float):
-    """Golden-section search on log(level) for the ambient truncation split."""
-    moduli = np.abs(f.samples)
-    top = float(moduli.max())
+    """Best ambient truncation level of f and its split cost."""
 
     def cost(lam: float) -> float:
         tall, flat = circle.truncate_at_level(f, lam)
         return circle.lp_norm(tall, p0) + t * circle.lp_norm(flat, p1)
 
-    lo, hi = np.log(1e-12 * top), np.log(top)
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = cost(np.exp(c)), cost(np.exp(d))
-    for _ in range(90):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = cost(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = cost(np.exp(d))
-    lam = float(np.exp((a + b) / 2.0))
-    candidates = [(cost(lam), lam), (cost(0.0), 0.0), (cost(top), top)]
-    best_cost, best_lam = min(candidates, key=lambda cl: cl[0])
-    return best_lam, best_cost
+    return best_truncation_level(cost, float(np.abs(f.samples).max()))
 
 
 def decompose_base(f: CircleFunction, p0: float, p1: float, t: float) -> CoupleDecomposition:

@@ -247,6 +247,38 @@ def kt_closed_form(x, t: float, p0: float = 1, p1: float = np.inf, weight: float
     return circle._partial_integral(r.values, r.weight, t)
 
 
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def best_truncation_level(cost, top: float):
+    """Truncation level minimising ``cost``, as ``(level, cost(level))``.
+
+    Golden-section search on log(level) over [1e-12*top, top]; the ends 0
+    and ``top`` are candidates too, and among equal costs the smallest level
+    wins.  ``cost(level)`` is the objective of an ambient truncation split
+    at that level and ``top`` the largest modulus (or singular value) of the
+    target.
+    """
+    if top == 0.0:
+        return 0.0, cost(0.0)
+    a, b = np.log(1e-12 * top), np.log(top)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = cost(np.exp(c)), cost(np.exp(d))
+    for _ in range(90):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = cost(np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = cost(np.exp(d))
+    mid = float(np.exp((a + b) / 2.0))
+    best_cost, best_level = min((cost(v), v) for v in (mid, 0.0, top))
+    return best_level, best_cost
+
+
 def _warm_start_l1_linf(couple: CoupleId, x, arr, t):
     """Exact optimal split and dual witness for ambient (1, inf) couples."""
     if couple.kind in ("lebesgue", "sequence"):
@@ -302,14 +334,13 @@ def kt_bruteforce(
     t: float,
     tol: float = 1e-7,
     max_iter: int = 200_000,
-    warm: bool = True,
 ) -> BruteForceResult:
     """K_t as a convex program over splits, certified by a feasible dual point."""
     arr = _payload_array(x).ravel()
     n0, n1, mask = couple_norms(couple, x)
     prog = SplitProgram(arr, n0, n1, t, subspace=mask)
     warm_primal = warm_dual = None
-    if warm and couple.p0 == 1 and couple.p1 == np.inf:
+    if couple.p0 == 1 and couple.p1 == np.inf:
         w0, wd = _warm_start_l1_linf(couple.ambient, x, arr, t)
         if w0 is not None:
             warm_primal = mask.project(w0) if mask is not None else w0

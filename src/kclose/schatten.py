@@ -29,6 +29,7 @@ from . import circle
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
+    best_truncation_level,
     kt_bruteforce,
     kt_closed_form,
     make_decomposition,
@@ -64,8 +65,6 @@ __all__ = [
     "matrix_valued_split",
     "MatrixValuedDecomposition",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -236,11 +235,8 @@ def _sv_truncation_split(m: np.ndarray, lam: float):
 
 
 def _best_sv_level(m: np.ndarray, p0: float, p1: float, t: float):
-    """Golden-section on log level for the ambient Schatten truncation split."""
-    u, s, vh = np.linalg.svd(m)
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0, 0.0
+    """Best ambient Schatten truncation level of m and its split cost."""
+    _, s, _ = np.linalg.svd(m)
 
     def parts_cost(lam: float) -> float:
         s1 = np.minimum(s, lam)
@@ -249,24 +245,7 @@ def _best_sv_level(m: np.ndarray, p0: float, p1: float, t: float):
         c1 = s1.max() if p1 == np.inf else np.sum(s1**p1) ** (1.0 / p1)
         return float(c0 + t * c1)
 
-    a, b = np.log(1e-12 * top), np.log(top)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = parts_cost(np.exp(c)), parts_cost(np.exp(d))
-    for _ in range(90):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = parts_cost(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = parts_cost(np.exp(d))
-    lam = float(np.exp((a + b) / 2.0))
-    best_cost, best_lam = min(
-        (parts_cost(v), v) for v in (lam, 0.0, top)
-    )
-    return best_lam, best_cost
+    return best_truncation_level(parts_cost, float(s[0]))
 
 
 def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float):
@@ -452,6 +431,8 @@ class MatrixValuedFunction:
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"samples must be (npoints, n, n), got {arr.shape}")
         circle._check_grid_size(arr.shape[0])
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         self.samples = arr

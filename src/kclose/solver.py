@@ -8,16 +8,31 @@ Three program families, all over flat complex variable arrays:
 * ``solve_minmax_distance``:  min  max(Na(x-y)/sa, Nb(x-y)/sb)  over y in a
   masked subspace, via the epigraph reformulation.
 
-The iteration is the over-relaxed primal-dual hybrid-gradient scheme: every
-nonsmooth term enters through its own dual block, whose proximal step is a
-closed-form projection (dual-norm balls for norms, polar cones for the
-epigraph constraints).  Complex entries are treated as real pairs; all
-moduli-based projections preserve phases.
+All three run on one engine, ``_primal_dual``: the over-relaxed
+primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
+
+* its primal and dual blocks -- arrays or scalars, e.g. (y, s) and the
+  polar-cone pairs (za, ra), (zb, rb) plus the subspace block z3 for the
+  min-max program;
+* ``adjoint(dual)``: K^T applied to the dual blocks, one entry per primal
+  block;
+* ``dual_step(dual, extrapolated_primal)``: the dual ascent step followed by
+  each block's closed-form projection (dual-norm balls for norms, polar
+  cones for the epigraph constraints, none for the linear subspace
+  constraint);
+* ``certificate(primal, dual, it, converged)``: the feasible primal/dual
+  pair assembled from the current blocks.
+
+The engine owns the primal step, the extrapolation, the over-relaxation
+(``RELAX``), the certificate check every ``CHECK_EVERY`` iterations and the
+gap test.  Complex entries are treated as real pairs; all moduli-based
+projections preserve phases.
 
 Certificates are honest: the reported dual value is always evaluated at an
 exactly feasible dual point (iterates are projected onto the dual constraint
 set and scaled into the balls), so ``primal - dual`` is a true optimality
-gap whatever the iteration count.
+gap whatever the iteration count.  A run that stops at ``max_iter`` returns
+its last certificate with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -42,15 +57,11 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Raised when an iteration limit is hit without meeting the gap target.
+    """Raised when the l^p-ball projection's multiplier search diverges.
 
-    Carries the last certificate on the ``certificate`` attribute so callers
-    can inspect how far the run got.
+    The programs never raise on an iteration limit: they return their last
+    certificate with ``converged=False``.
     """
-
-    def __init__(self, msg, certificate=None):
-        super().__init__(msg)
-        self.certificate = certificate
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -421,19 +432,53 @@ class SolverCertificate:
     extras: dict = field(default_factory=dict)
 
 
-def _auto_balance(prog: SplitProgram) -> float:
+RELAX = 1.85  # over-relaxation factor of every program
+CHECK_EVERY = 50  # iterations between certificate checks
+
+
+def _balance(objective: float, x: np.ndarray) -> float:
     """Step-size balance sigma/tau ~ (dual scale / primal scale).
 
     The dual iterates live at the scale of the dual-ball radii, which for
     measure-weighted norms is far below the primal scale; balancing by the
-    objective-to-Euclidean ratio keeps both updates moving.
+    objective-to-Euclidean ratio of the target keeps both updates moving.
     """
-    x = prog.target
     e = np.sqrt(_real_inner(x, x))
-    if e == 0:
-        return 1.0
-    obj = prog.norm0.value(x) + prog.t * prog.norm1.value(x)
-    return max(obj / (2.0 * e), 1e-8)
+    return max(objective / e, 1e-8) if e else 1.0
+
+
+def _step_sizes(norm_sq: float, balance: float = 1.0):
+    """(sigma, tau) with sigma * tau * norm_sq = 0.95**2 and sigma / tau = balance**2."""
+    return 0.95 * balance / np.sqrt(norm_sq), 0.95 / (balance * np.sqrt(norm_sq))
+
+
+def _primal_dual(primal, dual, tau, adjoint, dual_step, certificate, tol, max_iter):
+    """Over-relaxed primal-dual iteration shared by the three programs.
+
+    ``primal`` and ``dual`` are lists of blocks (arrays or scalars), updated
+    in place.  Each iteration takes the primal step against
+    ``adjoint(dual)``, extrapolates to ``2*new - old``, takes
+    ``dual_step(dual, extrapolated)`` and over-relaxes both sides.  Every
+    CHECK_EVERY iterations and at ``max_iter`` it asks ``certificate(primal,
+    dual, it, converged)`` for a certificate and returns it once
+    ``gap <= tol * max(1, primal)``; otherwise the last certificate is
+    returned unconverged.
+    """
+    for it in range(1, max_iter + 1):
+        bar = []
+        for i, g in enumerate(adjoint(dual)):
+            v = primal[i]
+            v_new = v - tau * g
+            bar.append(2.0 * v_new - v)
+            primal[i] = v + RELAX * (v_new - v)
+        for i, v_new in enumerate(dual_step(dual, bar)):
+            v = dual[i]
+            dual[i] = v + RELAX * (v_new - v)
+        if it % CHECK_EVERY == 0 or it == max_iter:
+            cert = certificate(primal, dual, it, True)
+            if cert.gap <= tol * max(1.0, cert.primal):
+                return cert
+    return certificate(primal, dual, max_iter, False)
 
 
 def solve_split(
@@ -442,10 +487,6 @@ def solve_split(
     max_iter: int = 200_000,
     warm_primal: np.ndarray | None = None,
     warm_dual: tuple | None = None,
-    relax: float = 1.85,
-    check_every: int = 50,
-    balance: float | None = None,
-    raise_on_fail: bool = False,
 ) -> SolverCertificate:
     """Run the primal-dual iteration on a split program.
 
@@ -462,29 +503,43 @@ def solve_split(
         z = np.zeros_like(x)
         return SolverCertificate(0.0, 0.0, 0.0, 0, True, x0=z, x1=z.copy())
 
-    L2 = 3.0 if mask is not None else 2.0
-    beta = _auto_balance(prog) if balance is None else balance
-    sigma = 0.95 * beta / np.sqrt(L2)
-    tau = 0.95 / (beta * np.sqrt(L2))
+    objective = prog.norm0.value(x) + t * prog.norm1.value(x)
+    sigma, tau = _step_sizes(3.0 if mask is not None else 2.0, _balance(0.5 * objective, x))
 
     if warm_primal is not None:
         u = np.asarray(warm_primal, dtype=np.complex128).ravel().copy()
     else:
         u = 0.5 * (mask.project(x) if mask is not None else x.copy())
     if warm_dual is not None:
-        y1 = np.asarray(warm_dual[0], dtype=np.complex128).ravel().copy()
-        y2 = np.asarray(warm_dual[1], dtype=np.complex128).ravel().copy()
+        dual = [np.asarray(w, dtype=np.complex128).ravel().copy() for w in warm_dual[:2]]
     else:
-        y1 = np.zeros(d, dtype=np.complex128)
-        y2 = np.zeros(d, dtype=np.complex128)
-    y3 = np.zeros(d, dtype=np.complex128) if mask is not None else None
+        dual = [np.zeros(d, dtype=np.complex128), np.zeros(d, dtype=np.complex128)]
+    if mask is not None:
+        # constraint block (I - P) u = 0: membership in the masked subspace
+        dual.append(np.zeros(d, dtype=np.complex128))
 
-    def certificate(it, converged):
-        u_feas = mask.project(u) if mask is not None else u
-        x0 = u_feas
-        x1 = x - u_feas
-        primal = prog.norm0.value(x0) + t * prog.norm1.value(x1)
-        z1 = -(y2 + mask.antiproject(y3)) if mask is not None else -y2
+    def adjoint(y):
+        if mask is None:
+            return [y[0] + y[1]]
+        return [y[0] + y[1] + mask.antiproject(y[2])]
+
+    def dual_step(y, bar):
+        (ub,) = bar
+        blocks = [
+            prog.norm0.project_dual_ball(y[0] + sigma * ub, 1.0),
+            prog.norm1.project_dual_ball(y[1] + sigma * (ub - x), t),
+        ]
+        if mask is not None:
+            blocks.append(y[2] + sigma * mask.antiproject(ub))
+        return blocks
+
+    def certificate(primal, y, it, converged):
+        (u,) = primal
+        x0 = mask.project(u) if mask is not None else u
+        x1 = x - x0
+        value = prog.norm0.value(x0) + t * prog.norm1.value(x1)
+        y2 = y[1]
+        z1 = -(y2 + mask.antiproject(y[2])) if mask is not None else -y2
         a = prog.norm0.dual_value(z1)
         b = prog.norm1.dual_value(y2)
         s_candidates = []
@@ -496,9 +551,9 @@ def solve_split(
         dual = max(0.0, s * (-_real_inner(y2, x)))
         sub_res = float(np.abs(mask.antiproject(u)).max()) if mask is not None else 0.0
         return SolverCertificate(
-            primal=primal,
+            primal=value,
             dual=dual,
-            gap=primal - dual,
+            gap=value - dual,
             iterations=it,
             converged=converged,
             x0=x0,
@@ -507,32 +562,7 @@ def solve_split(
             subspace_residual=sub_res,
         )
 
-    for it in range(1, max_iter + 1):
-        # constraint block is (I - P) u = 0: membership in the masked subspace
-        Kty = y1 + y2 + (mask.antiproject(y3) if mask is not None else 0.0)
-        u_new = u - tau * Kty
-        ub = 2.0 * u_new - u
-        y1_new = prog.norm0.project_dual_ball(y1 + sigma * ub, 1.0)
-        y2_new = prog.norm1.project_dual_ball(y2 + sigma * (ub - x), t)
-        if mask is not None:
-            y3_new = y3 + sigma * mask.antiproject(ub)
-        u = u + relax * (u_new - u)
-        y1 += relax * (y1_new - y1)
-        y2 += relax * (y2_new - y2)
-        if mask is not None:
-            y3 += relax * (y3_new - y3)
-        if it % check_every == 0 or it == max_iter:
-            cert = certificate(it, converged=True)
-            if cert.gap <= tol * max(1.0, cert.primal):
-                return cert
-
-    cert = certificate(max_iter, converged=False)
-    if raise_on_fail:
-        raise SolverError(
-            f"split program: gap {cert.gap:.3e} above tolerance after {max_iter} iterations",
-            cert,
-        )
-    return cert
+    return _primal_dual([u], dual, tau, adjoint, dual_step, certificate, tol, max_iter)
 
 
 def solve_distance(
@@ -541,10 +571,6 @@ def solve_distance(
     subspace,
     tol: float = 1e-7,
     max_iter: int = 200_000,
-    relax: float = 1.85,
-    check_every: int = 50,
-    balance: float | None = None,
-    raise_on_fail: bool = False,
 ) -> SolverCertificate:
     """min N(x - y) over y in the masked subspace, with a dual witness.
 
@@ -553,30 +579,32 @@ def solve_distance(
     """
     x = np.asarray(target, dtype=np.complex128).ravel()
     d = x.size
-    if balance is None:
-        e = np.sqrt(_real_inner(x, x))
-        balance = max(norm.value(x) / max(e, 1e-300), 1e-8) if e else 1.0
-    L2 = 2.0
-    sigma = 0.95 * balance / np.sqrt(L2)
-    tau = 0.95 / (balance * np.sqrt(L2))
+    sigma, tau = _step_sizes(2.0, _balance(norm.value(x), x))
 
-    u = subspace.project(x)
-    y1 = np.zeros(d, dtype=np.complex128)
-    y3 = np.zeros(d, dtype=np.complex128)
+    def adjoint(y):
+        return [-y[0] + subspace.antiproject(y[1])]
 
-    def certificate(it, converged):
+    def dual_step(y, bar):
+        (ub,) = bar
+        return [
+            norm.project_dual_ball(y[0] + sigma * (x - ub), 1.0),
+            y[1] + sigma * subspace.antiproject(ub),
+        ]
+
+    def certificate(primal, y, it, converged):
+        (u,) = primal
         y_feas = subspace.project(u)
-        primal = norm.value(x - y_feas)
-        z = subspace.antiproject(y1)
+        value = norm.value(x - y_feas)
+        z = subspace.antiproject(y[0])
         nz = norm.dual_value(z)
         s = 1.0 / nz if nz > 0 else 0.0
         val = s * _real_inner(z, x)
         dual = abs(val)  # sign flip of a feasible witness stays feasible
         witness = z * (s if val >= 0 else -s)
         return SolverCertificate(
-            primal=primal,
+            primal=value,
             dual=dual,
-            gap=primal - dual,
+            gap=value - dual,
             iterations=it,
             converged=converged,
             minimizer=y_feas,
@@ -584,26 +612,8 @@ def solve_distance(
             subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
         )
 
-    for it in range(1, max_iter + 1):
-        u_new = u - tau * (-y1 + subspace.antiproject(y3))
-        ub = 2.0 * u_new - u
-        y1_new = norm.project_dual_ball(y1 + sigma * (x - ub), 1.0)
-        y3_new = y3 + sigma * subspace.antiproject(ub)
-        u = u + relax * (u_new - u)
-        y1 += relax * (y1_new - y1)
-        y3 += relax * (y3_new - y3)
-        if it % check_every == 0 or it == max_iter:
-            cert = certificate(it, converged=True)
-            if cert.gap <= tol * max(1.0, cert.primal):
-                return cert
-
-    cert = certificate(max_iter, converged=False)
-    if raise_on_fail:
-        raise SolverError(
-            f"distance program: gap {cert.gap:.3e} above tolerance after {max_iter} iterations",
-            cert,
-        )
-    return cert
+    zeros = [np.zeros(d, dtype=np.complex128), np.zeros(d, dtype=np.complex128)]
+    return _primal_dual([subspace.project(x)], zeros, tau, adjoint, dual_step, certificate, tol, max_iter)
 
 
 def solve_minmax_distance(
@@ -615,41 +625,45 @@ def solve_minmax_distance(
     subspace,
     tol: float = 1e-6,
     max_iter: int = 200_000,
-    relax: float = 1.85,
-    check_every: int = 50,
-    raise_on_fail: bool = False,
 ) -> SolverCertificate:
     """min over subspace elements y of max(Na(x-y)/sa, Nb(x-y)/sb).
 
     Epigraph form: minimise the scalar s subject to (x - y, sa*s) and
     (x - y, sb*s) lying in the two norm cones; the cone projections are
     exact, so the dual point assembled from the polar blocks is feasible
-    and the reported gap is a certificate.
+    and the reported gap is a certificate.  Primal blocks are (y, s); dual
+    blocks are the two polar-cone pairs (za, ra), (zb, rb) and the
+    subspace constraint z3.
     """
     if scale_a <= 0 or scale_b <= 0:
         raise ValueError("distance scales must be positive")
     x = np.asarray(target, dtype=np.complex128).ravel()
     d = x.size
-
-    L2 = 3.0 + scale_a**2 + scale_b**2
-    sigma = 0.95 / np.sqrt(L2)
-    tau = 0.95 / np.sqrt(L2)
+    sigma, tau = _step_sizes(3.0 + scale_a**2 + scale_b**2)
 
     u = subspace.project(x)
     s_var = max(norm_a.value(x - u) / scale_a, norm_b.value(x - u) / scale_b)
-    za = np.zeros(d, dtype=np.complex128)
-    ra = 0.0
-    zb = np.zeros(d, dtype=np.complex128)
-    rb = 0.0
-    z3 = np.zeros(d, dtype=np.complex128)
 
     def polar_project(norm, w, h):
         pw, ph = norm.cone_project(w, h)
         return w - pw, h - ph
 
-    def certificate(it, converged):
+    def adjoint(z):
+        za, ra, zb, rb, z3 = z
+        return [-(za + zb) + subspace.antiproject(z3), scale_a * ra + scale_b * rb + 1.0]
+
+    def dual_step(z, bar):
+        za, ra, zb, rb, z3 = z
+        ub, sb_ = bar
+        za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * scale_a * sb_)
+        zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * scale_b * sb_)
+        return [za_new, ra_new, zb_new, rb_new, z3 + sigma * subspace.antiproject(ub)]
+
+    def certificate(primal, z, it, converged):
+        u = primal[0]
+        za, zb = z[0], z[2]
         y_feas = subspace.project(u)
-        primal = max(norm_a.value(x - y_feas) / scale_a, norm_b.value(x - y_feas) / scale_b)
+        value = max(norm_a.value(x - y_feas) / scale_a, norm_b.value(x - y_feas) / scale_b)
         corr = subspace.project(za + zb) * 0.5  # dual relation needs P(za+zb) = 0
         za_f = za - corr
         zb_f = zb - corr
@@ -664,9 +678,9 @@ def solve_minmax_distance(
             dual = 0.0
             witness = {}
         return SolverCertificate(
-            primal=primal,
+            primal=value,
             dual=dual,
-            gap=primal - dual,
+            gap=value - dual,
             iterations=it,
             converged=converged,
             minimizer=y_feas,
@@ -674,32 +688,6 @@ def solve_minmax_distance(
             subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
         )
 
-    for it in range(1, max_iter + 1):
-        grad_y = -(za + zb) + subspace.antiproject(z3)
-        grad_s = scale_a * ra + scale_b * rb + 1.0
-        u_new = u - tau * grad_y
-        s_new = s_var - tau * grad_s
-        ub = 2.0 * u_new - u
-        sb_ = 2.0 * s_new - s_var
-        za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * scale_a * sb_)
-        zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * scale_b * sb_)
-        z3_new = z3 + sigma * subspace.antiproject(ub)
-        u = u + relax * (u_new - u)
-        s_var = s_var + relax * (s_new - s_var)
-        za += relax * (za_new - za)
-        ra += relax * (ra_new - ra)
-        zb += relax * (zb_new - zb)
-        rb += relax * (rb_new - rb)
-        z3 += relax * (z3_new - z3)
-        if it % check_every == 0 or it == max_iter:
-            cert = certificate(it, converged=True)
-            if cert.gap <= tol * max(1.0, cert.primal):
-                return cert
-
-    cert = certificate(max_iter, converged=False)
-    if raise_on_fail:
-        raise SolverError(
-            f"min-max program: gap {cert.gap:.3e} above tolerance after {max_iter} iterations",
-            cert,
-        )
-    return cert
+    zero = np.zeros(d, dtype=np.complex128)
+    dual = [zero, 0.0, zero.copy(), 0.0, zero.copy()]
+    return _primal_dual([u, s_var], dual, tau, adjoint, dual_step, certificate, tol, max_iter)

@@ -24,6 +24,14 @@ def test_grid_sizes_rejected(bad):
         CircleFunction(np.zeros(bad, dtype=np.complex128))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_samples_rejected(bad):
+    samples = np.ones(8, dtype=np.complex128)
+    samples[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CircleFunction(samples)
+
+
 def test_fourier_matches_quadratic_dft():
     rng = np.random.default_rng(31)
     for n in (8, 16, 32):

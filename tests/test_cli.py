@@ -59,6 +59,24 @@ def test_kfunc_schatten_needs_payload(capsys):
     assert main(["kfunc", "--couple", "S1,Sinf", "--t", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("couple", ["L1,Linf", "h1,hinf"])
+def test_kfunc_non_finite_payload_exits_2(tmp_path, capsys, couple):
+    re = [1.0, 2.0, float("nan"), 0.5, 1.0, 1.0, 1.0, 1.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 8, "re": re, "im": [0.0] * 8}))
+    assert main(["kfunc", "--couple", couple, "--t", "0.5", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_kfunc_non_finite_array_payload_exits_2(tmp_path, capsys):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"type": "array", "re": [1.0, float("inf")], "im": [0.0, 0.0]}))
+    assert main(["kfunc", "--couple", "seq1,seq2", "--t", "0.5", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_factor_sqrt_monomial(tmp_path, capsys):
     path = write_z2(tmp_path)
     assert main(["factor", "sqrt", "--in", path]) == 0

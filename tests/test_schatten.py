@@ -296,6 +296,14 @@ def test_matrix_valued_function_basics():
     assert abs(f.norm(2, 2) - want) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_valued_function_rejects_non_finite(bad):
+    sam = np.ones((8, 2, 2), dtype=np.complex128)
+    sam[5, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MatrixValuedFunction(sam)
+
+
 def test_matrix_outer_scalar_case_frozen():
     # |1 - z/2|^2 sampled as a 1x1 hermitian weight factors back to 1 - z/2
     n = 16

@@ -5,6 +5,7 @@ import pytest
 
 from kclose import circle
 from kclose.circle import CircleFunction
+from kclose.kfunctional import CoupleId, kt_bruteforce
 from kclose.solver import (
     AnalyticMask,
     MixedNorm,
@@ -314,3 +315,67 @@ def test_minmax_distance_single_negative_frequency():
     dinf = solve_distance(f.samples, ninf, mask, tol=1e-9).primal
     cert = solve_minmax_distance(f.samples, n1, ninf, d1, dinf, mask, tol=1e-6, max_iter=400_000)
     assert cert.primal <= 1.0 + 1e-3
+
+
+def _seeded(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _analytic(seed, n, degree=5):
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n, dtype=np.complex128)
+    c[:degree] = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    return circle.from_coeffs(c)
+
+
+def _kt(x, couple, t, tol):
+    res = kt_bruteforce(x, CoupleId.parse(couple), t, tol=tol)
+    return res.iterations, res.value, res.lower
+
+
+def _cert(cert):
+    return cert.iterations, cert.primal, cert.dual
+
+
+W16, W32 = 1.0 / 16, 1.0 / 32
+# (run, iterations, primal, dual): any change to the engine's arithmetic or
+# stopping rule moves an iteration count or a value here
+PINNED = {
+    "split_plain": (lambda: _cert(solve_split(
+        SplitProgram(_seeded(61, 16), VectorNorm(1, W16), VectorNorm(np.inf, W16), 0.3), tol=1e-8)),
+        2050, 0.6611825433851883, 0.661182537555497),
+    "split_analytic_mask": (lambda: _cert(solve_split(
+        SplitProgram(_analytic(62, 16).samples, VectorNorm(1, W16), VectorNorm(np.inf, W16), 0.2,
+                     subspace=AnalyticMask(16)), tol=1e-7)),
+        300, 1.1760804128827322, 1.176080314988106),
+    # warm-started primal, t * N just below 4: the hard band of the endpoint sweep
+    "kt_h1_hinf_hard_band": (lambda: _kt(_analytic(63, 32), "h1,hinf", 0.1233, 1e-6),
+                             14550, 0.8468869129015236, 0.8468859463651962),
+    # warm-started primal and dual
+    "kt_seq1_seqinf_warm": (lambda: _kt(_seeded(64, 12), "seq1,seqinf", 2.5, 1e-8),
+                            50, 3.933288203432187, 3.9332882034321752),
+    "distance_vector": (lambda: _cert(solve_distance(
+        _seeded(65, 16), VectorNorm(1, W16), AnalyticMask(16), tol=1e-7)),
+        450, 0.8749420124371567, 0.8749419379059608),
+    "distance_schatten_triangular": (lambda: _cert(solve_distance(
+        _seeded(66, (4, 4)).ravel(), SchattenNorm(np.inf, 4), TriangularMask(4), tol=1e-7)),
+        150, 3.024955345377582, 3.0249553443857726),
+    "minmax_circle": (lambda: _cert(solve_minmax_distance(
+        _seeded(67, 16), VectorNorm(1, W16), VectorNorm(np.inf, W16), 1.1, 1.3, AnalyticMask(16),
+        tol=1e-5)),
+        4700, 0.9924369357430736, 0.9924276047064013),
+    "minmax_triangular": (lambda: _cert(solve_minmax_distance(
+        _seeded(68, (4, 4)).ravel(), SchattenNorm(1, 4), SchattenNorm(np.inf, 4), 4.0, 1.5,
+        TriangularMask(4), tol=1e-5)),
+        350, 1.6678743567632202, 1.66786473406915),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_programs_pinned(case):
+    run, iterations, primal, dual = PINNED[case]
+    got_it, got_primal, got_dual = run()
+    assert got_it == iterations
+    assert got_primal == pytest.approx(primal, rel=1e-9, abs=0.0)
+    assert got_dual == pytest.approx(dual, rel=1e-9, abs=0.0)
