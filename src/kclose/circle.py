@@ -34,7 +34,6 @@ __all__ = [
     "inner",
     "analyticity_residual",
     "rearrange",
-    "kt_l1_linf",
     "decreasing_value",
     "truncate_at_level",
 ]
@@ -220,15 +219,6 @@ def _partial_integral(values: np.ndarray, weight: float, t: float) -> float:
     if frac > 0 and full < values.size:
         out += frac * values[full]
     return float(out)
-
-
-def kt_l1_linf(f: CircleFunction, t: float) -> float:
-    """K_t of f in the (L^1, L^inf) grid couple: the partial integral of
-    the decreasing rearrangement up to min(t, 1)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    r = rearrange(f)
-    return _partial_integral(r.values, r.weight, t)
 
 
 def decreasing_value(r: Rearrangement, t: float) -> float:

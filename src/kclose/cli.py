@@ -18,7 +18,7 @@ from . import hardy, schatten
 from .circle import CircleFunction
 from .factorize import holder_factor, outer_function, sqrt_factor
 from .harness import SUITES, ExperimentConfig, _serialize_payload, run_suite
-from .kfunctional import CoupleId, kt_bruteforce, kt_closed_form
+from .kfunctional import CoupleId, kt_bracket, kt_bruteforce
 from .schatten import MatrixOperator, MatrixValuedFunction
 
 __all__ = ["main"]
@@ -31,9 +31,14 @@ class _UsageError(Exception):
 def _load_payload(path: str):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("payload must be a JSON object")
+    for key in ("re", "im"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"payload field {key!r} must be a list")
     tag = data.get("type")
     if tag == "matrix" or (tag is None and "npoints" not in data
-                           and data.get("re") and isinstance(data["re"][0], list)):
+                           and data["re"] and isinstance(data["re"][0], list)):
         return MatrixOperator.from_json(data)
     if tag == "matrix_valued" or "npoints" in data:
         return MatrixValuedFunction.from_json(data)
@@ -67,13 +72,7 @@ def _cmd_kfunc(args) -> int:
         x = np.ones(args.grid_n, dtype=np.complex128)
     else:
         raise _UsageError(f"--in is required for {couple.kind} couples")
-    if couple.kind in ("lebesgue", "sequence") and couple.p0 == 1 and couple.p1 == np.inf:
-        value = kt_closed_form(x, args.t, 1, np.inf)
-    elif couple.kind == "schatten" and couple.p0 == 1 and couple.p1 == np.inf:
-        value = schatten.kt_schatten(x, 1, np.inf, args.t)
-    else:
-        value = kt_bruteforce(x, couple, args.t, tol=args.tol).value
-    print(repr(float(value)))
+    print(repr(float(kt_bracket(x, couple, args.t, tol=args.tol)[1])))
     return 0
 
 

@@ -171,7 +171,7 @@ def _polynomial_zeros(f: CircleFunction, zero_margin: float) -> np.ndarray:
             f"{int(on_circle.sum())} zero(s) within {zero_margin:.1e} of the unit "
             "circle; they are treated as outer and will show up in the residual",
             BoundaryZeroWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return roots[mods < 1.0 - zero_margin]
 
@@ -190,20 +190,31 @@ class SqrtFactorization:
         return CircleFunction(b.samples * self.outer.boundary.samples**2)
 
 
-def _check_analytic_input(f: CircleFunction, name: str):
+def _inner_outer_preamble(f: CircleFunction, name: str, eps_zero, zero_margin: float):
+    """Check f is analytic and nonzero; return its Blaschke zeros, their
+    unrotated boundary samples, max(|f|, eps_zero) and eps_zero."""
     if not np.any(f.samples):
         raise ValueError(f"{name} expects a function that is not identically zero")
+    scale = float(np.abs(f.samples).max())
     res = circle.analyticity_residual(f)
-    scale = np.abs(f.samples).max()
     if res > 1e-8 * scale:
         raise ValueError(
             f"{name} expects an analytic function; negative-frequency mass {res:.3e}"
         )
+    if eps_zero is None:
+        eps_zero = 1e-12 * scale
+    zeros = _polynomial_zeros(f, zero_margin)
+    blaschke = BlaschkeProduct(zeros).boundary(f.n).samples
+    return zeros, blaschke, np.maximum(np.abs(f.samples), eps_zero), eps_zero
 
 
 def _fit_rotation(f: CircleFunction, approx: np.ndarray) -> complex:
     c = np.vdot(approx, f.samples)
     return c / abs(c) if abs(c) > 0 else 1.0 + 0.0j
+
+
+def _relative_residual(f: CircleFunction, approx: np.ndarray) -> float:
+    return float(np.abs(f.samples - approx).max() / np.abs(f.samples).max())
 
 
 def sqrt_factor(
@@ -215,18 +226,12 @@ def sqrt_factor(
     and dividing by it is stable; the price is the reported residual when f
     itself nearly vanishes somewhere.
     """
-    _check_analytic_input(f, "sqrt_factor")
-    if eps_zero is None:
-        eps_zero = 1e-12 * float(np.abs(f.samples).max())
-    zeros = _polynomial_zeros(f, zero_margin)
-    mod = np.maximum(np.abs(f.samples), eps_zero)
+    zeros, b, mod, eps_zero = _inner_outer_preamble(f, "sqrt_factor", eps_zero, zero_margin)
     out = outer_function(np.sqrt(mod))
-    b = BlaschkeProduct(zeros)
-    approx = b.boundary(f.n).samples * out.boundary.samples**2
+    approx = b * out.boundary.samples**2
     rot = _fit_rotation(f, approx)
-    b = BlaschkeProduct(zeros, rotation=rot)
-    residual = float(np.abs(f.samples - rot * approx).max() / np.abs(f.samples).max())
-    return SqrtFactorization(blaschke=b, outer=out, residual=residual, eps_zero=eps_zero)
+    return SqrtFactorization(blaschke=BlaschkeProduct(zeros, rotation=rot), outer=out,
+                             residual=_relative_residual(f, rot * approx), eps_zero=eps_zero)
 
 
 @dataclass(frozen=True)
@@ -257,19 +262,13 @@ def holder_factor(
             raise ValueError(f"{name} must be finite and >= 1, got {val}")
     if abs(1.0 / p - (1.0 / r + 1.0 / s)) > 1e-12:
         raise ValueError(f"need 1/p = 1/r + 1/s, got 1/{p} vs 1/{r} + 1/{s}")
-    _check_analytic_input(f, "holder_factor")
-    if eps_zero is None:
-        eps_zero = 1e-12 * float(np.abs(f.samples).max())
-    zeros = _polynomial_zeros(f, zero_margin)
-    mod = np.maximum(np.abs(f.samples), eps_zero)
+    _, b, mod, _ = _inner_outer_preamble(f, "holder_factor", eps_zero, zero_margin)
     out_g = outer_function(mod ** (p / r))
-    out_h = outer_function(mod ** (p / s))
-    b = BlaschkeProduct(zeros)
-    g0 = b.boundary(f.n).samples * out_g.boundary.samples
-    rot = _fit_rotation(f, g0 * out_h.boundary.samples)
+    h = outer_function(mod ** (p / s)).boundary
+    g0 = b * out_g.boundary.samples
+    rot = _fit_rotation(f, g0 * h.samples)
     g = CircleFunction(rot * g0)
-    h = out_h.boundary
-    residual = float(np.abs(f.samples - g.samples * h.samples).max() / np.abs(f.samples).max())
+    residual = _relative_residual(f, g.samples * h.samples)
     norms = {
         "g_r": circle.lp_norm(g, r),
         "h_s": circle.lp_norm(h, s),
@@ -280,13 +279,8 @@ def holder_factor(
 
 def inner_outer(f: CircleFunction, eps_zero: float | None = None, zero_margin: float = 1e-8):
     """f = B * O with B Blaschke and O outer; returns (B, O, residual)."""
-    _check_analytic_input(f, "inner_outer")
-    if eps_zero is None:
-        eps_zero = 1e-12 * float(np.abs(f.samples).max())
-    zeros = _polynomial_zeros(f, zero_margin)
-    out = outer_function(np.maximum(np.abs(f.samples), eps_zero))
-    b = BlaschkeProduct(zeros)
-    approx = b.boundary(f.n).samples * out.boundary.samples
+    zeros, b, mod, _ = _inner_outer_preamble(f, "inner_outer", eps_zero, zero_margin)
+    out = outer_function(mod)
+    approx = b * out.boundary.samples
     rot = _fit_rotation(f, approx)
-    residual = float(np.abs(f.samples - rot * approx).max() / np.abs(f.samples).max())
-    return BlaschkeProduct(zeros, rotation=rot), out, residual
+    return BlaschkeProduct(zeros, rotation=rot), out, _relative_residual(f, rot * approx)

@@ -121,7 +121,7 @@ def decompose_h1_hq(
     couple = CoupleId("hardy", 1, q)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
-    fac = sqrt_factor(f, eps_zero=eps_zero) if eps_zero is not None else sqrt_factor(f)
+    fac = sqrt_factor(f, eps_zero=eps_zero)
     b = fac.blaschke.boundary(f.n).samples
     # the sampled exponential is only approximately analytic; split its
     # analytic part so the base case sees an exactly admissible input

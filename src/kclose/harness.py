@@ -73,7 +73,6 @@ class ExperimentConfig:
     tol: float = 1e-7
     max_iter: int = 200_000
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-    eps_zero: float = 1e-12
     eps_reg: float = 1e-8
     instances: int = 10
     n_max: int = 10_000
@@ -102,7 +101,7 @@ class ExperimentConfig:
                 "points_per_decade": self.points_per_decade,
             },
             "solver": {"tol": self.tol, "max_iter": self.max_iter},
-            "epsilon": {"eps_zero": self.eps_zero, "eps_reg": self.eps_reg},
+            "epsilon": {"eps_reg": self.eps_reg},
             "thresholds": self.thresholds,
             "instances": self.instances,
             "n_max": self.n_max,
@@ -125,8 +124,6 @@ class ExperimentConfig:
         if "max_iter" in sv:
             kw["max_iter"] = sv["max_iter"]
         ep = data.get("epsilon", {})
-        if "eps_zero" in ep:
-            kw["eps_zero"] = ep["eps_zero"]
         if "eps_reg" in ep:
             kw["eps_reg"] = ep["eps_reg"]
         cfg = cls(**kw)

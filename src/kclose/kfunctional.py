@@ -3,9 +3,10 @@
 A couple is identified by a kind -- ``lebesgue`` (circle grid), ``sequence``
 (counting measure), ``schatten`` (matrices), ``hardy`` (analytic subspace of
 the grid) or ``triangular`` (upper-triangular subspace of matrices) -- plus
-an exponent pair.  K_t values come either from the exact rearrangement
-formula (exponents (1, inf)) or from the convex solver, which always returns
-a primal/dual sandwich so the reported number carries its own error bar.
+an exponent pair.  K_t values come from :func:`kt_bracket`, the one place
+that chooses between the exact rearrangement formula (ambient couples with
+exponents (1, inf)) and the convex solver, which always returns a
+primal/dual sandwich so the reported number carries its own error bar.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "InterpNormResult",
     "kt_closed_form",
     "kt_bruteforce",
+    "kt_bracket",
     "jt",
     "real_interp_norm",
     "k_closedness_report",
@@ -279,41 +281,35 @@ def best_truncation_level(cost, top: float):
     return best_level, best_cost
 
 
-def _warm_start_l1_linf(couple: CoupleId, x, arr, t):
-    """Exact optimal split and dual witness for ambient (1, inf) couples."""
-    if couple.kind in ("lebesgue", "sequence"):
-        weight = 1.0 / arr.size if couple.kind == "lebesgue" else 1.0
-        moduli = np.abs(arr)
-        order = np.argsort(-moduli, kind="stable")
-        steps = t / weight
-        full = int(np.floor(steps))
-        lam = moduli[order[full]] if full < arr.size else 0.0
-        scale = np.where(moduli > 0, np.minimum(moduli, lam) / np.where(moduli > 0, moduli, 1.0), 0.0)
-        x1 = arr * scale
-        x0 = arr - x1
-        mu = np.zeros(arr.size)
-        mu[order[: min(full, arr.size)]] = weight
-        if full < arr.size:
-            mu[order[full]] = t - full * weight
-        phases = np.where(moduli > 0, arr / np.where(moduli > 0, moduli, 1.0), 1.0)
-        z = phases * mu
-        return x0, (z, -z)
-    if couple.kind == "schatten":
-        n = int(round(np.sqrt(arr.size)))
-        m = arr.reshape(n, n)
+def _clip_level_and_weights(values: np.ndarray, weight: float, t: float):
+    """Clip level and dual weights mu of the optimal (1, inf) split at t:
+    ``weight`` on each largest value up to mass t, the remainder on the next."""
+    order = np.argsort(-values, kind="stable")
+    full = int(np.floor(t / weight))
+    level = values[order[full]] if full < values.size else 0.0
+    mu = np.zeros(values.size)
+    mu[order[: min(full, values.size)]] = weight
+    if full < values.size:
+        mu[order[full]] = t - full * weight
+    return level, mu
+
+
+def _warm_start_l1_linf(arr: np.ndarray, norm0, t: float):
+    """Exact optimal split and dual witness for the ambient (1, inf) couple:
+    clip the moduli under ``norm0.weight``, or the singular values."""
+    if isinstance(norm0, SchattenNorm):
+        m = arr.reshape(norm0.n, norm0.n)
         u, s, vh = np.linalg.svd(m)
-        full = int(np.floor(t))
-        lam = s[full] if full < n else 0.0
-        s1 = np.minimum(s, lam)
-        x1 = (u * s1) @ vh
-        x0 = m - x1
-        mu = np.zeros(n)
-        mu[: min(full, n)] = 1.0
-        if full < n:
-            mu[full] = t - full
+        level, mu = _clip_level_and_weights(s, 1.0, t)
+        x1 = (u * np.minimum(s, level)) @ vh
         z = ((u * mu) @ vh).ravel()
-        return x0.ravel(), (z, -z)
-    return None, None
+        return (m - x1).ravel(), (z, -z)
+    moduli = np.abs(arr)
+    level, mu = _clip_level_and_weights(moduli, norm0.weight, t)
+    safe = np.where(moduli > 0, moduli, 1.0)
+    x1 = arr * np.where(moduli > 0, np.minimum(moduli, level) / safe, 0.0)
+    z = np.where(moduli > 0, arr / safe, 1.0) * mu
+    return arr - x1, (z, -z)
 
 
 @dataclass
@@ -341,10 +337,9 @@ def kt_bruteforce(
     prog = SplitProgram(arr, n0, n1, t, subspace=mask)
     warm_primal = warm_dual = None
     if couple.p0 == 1 and couple.p1 == np.inf:
-        w0, wd = _warm_start_l1_linf(couple.ambient, x, arr, t)
-        if w0 is not None:
-            warm_primal = mask.project(w0) if mask is not None else w0
-            warm_dual = None if mask is not None else wd
+        w0, wd = _warm_start_l1_linf(arr, n0, t)
+        warm_primal = mask.project(w0) if mask is not None else w0
+        warm_dual = None if mask is not None else wd
     cert = solve_split(prog, tol=tol, max_iter=max_iter, warm_primal=warm_primal, warm_dual=warm_dual)
     dec = make_decomposition(couple, t, x, cert.x0, cert.x1, meta={
         "gap": cert.gap,
@@ -359,6 +354,26 @@ def kt_bruteforce(
         iterations=cert.iterations,
         converged=cert.converged,
     )
+
+
+def kt_bracket(x, couple: CoupleId, t: float, tol: float = 1e-7):
+    """Certified bracket ``(lower, value)`` with lower <= K_t <= value.
+
+    The one place that picks the closed form or the solver.  Ambient
+    (1, inf) couples are exact, ``(k, k)``: the rearrangement integral of
+    the payload under the couple's measure, or of the singular values for
+    ``schatten``.  Every other couple takes :func:`kt_bruteforce`'s sandwich.
+    """
+    n0, _, _ = couple_norms(couple, x)
+    if couple.p0 == 1 and couple.p1 == np.inf and not couple.has_subspace:
+        arr = _payload_array(x)
+        if couple.kind == "schatten":
+            k = kt_closed_form(np.linalg.svd(arr, compute_uv=False), t, weight=1.0)
+        else:
+            k = kt_closed_form(arr, t, weight=n0.weight)
+        return k, k
+    res = kt_bruteforce(x, couple, t, tol=tol)
+    return res.lower, res.value
 
 
 def jt(x, couple: CoupleId, t: float) -> float:
@@ -415,14 +430,7 @@ def real_interp_norm(
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    closed = couple.p0 == 1 and couple.p1 == np.inf and couple.kind in ("lebesgue", "sequence")
-    if closed:
-        ks = np.array([kt_closed_form(x, t) for t in t_grid])
-    elif couple.kind == "schatten" and couple.p0 == 1 and couple.p1 == np.inf:
-        sv = np.linalg.svd(_payload_array(x), compute_uv=False)
-        ks = np.array([kt_closed_form(sv, t) for t in t_grid])
-    else:
-        ks = np.array([kt_bruteforce(x, couple, t, tol=tol).value for t in t_grid])
+    ks = np.array([kt_bracket(x, couple, t, tol=tol)[1] for t in t_grid])
     arr = _payload_array(x).ravel()
     n0, n1, _ = couple_norms(couple, x)
     a0, a1 = n0.value(arr), n1.value(arr)
@@ -487,14 +495,7 @@ def _exp_str(p: float) -> str:
 def ambient_k_lower(x, couple: CoupleId, t: float, tol: float = 1e-7) -> float:
     """A certified value of the ambient K_t (exact where a closed form exists,
     otherwise the solver's feasible dual lower bound)."""
-    amb = couple.ambient
-    if amb.p0 == 1 and amb.p1 == np.inf:
-        if amb.kind in ("lebesgue", "sequence"):
-            return kt_closed_form(x, t)
-        if amb.kind == "schatten":
-            sv = np.linalg.svd(_payload_array(x), compute_uv=False)
-            return kt_closed_form(sv, t)
-    return kt_bruteforce(x, amb, t, tol=tol).lower
+    return kt_bracket(x, couple.ambient, t, tol=tol)[0]
 
 
 def k_closedness_report(

@@ -5,6 +5,7 @@ import pytest
 
 from kclose import circle
 from kclose.circle import CircleFunction, from_coeffs
+from kclose.kfunctional import kt_closed_form
 
 
 def dft_oracle(samples):
@@ -126,7 +127,7 @@ def test_decreasing_value_right_continuous():
 def test_partial_integral_flat_function():
     f = CircleFunction.constant(1.0, 16)
     for t in (0.0, 0.25, 0.5, 1.0, 2.0, 10.0):
-        assert abs(circle.kt_l1_linf(f, t) - min(t, 1.0)) < 1e-14
+        assert abs(kt_closed_form(f, t) - min(t, 1.0)) < 1e-14
 
 
 def test_partial_integral_two_level():
@@ -134,10 +135,10 @@ def test_partial_integral_two_level():
     sam = np.where(np.arange(16) < 8, 2.0, 1.0).astype(np.complex128)
     f = CircleFunction(sam)
     # K_t = 2t for t <= 1/2, then 1 + (t - 1/2) up to t = 1, then 3/2
-    assert abs(circle.kt_l1_linf(f, 0.25) - 0.5) < 1e-14
-    assert abs(circle.kt_l1_linf(f, 0.5) - 1.0) < 1e-14
-    assert abs(circle.kt_l1_linf(f, 0.75) - 1.25) < 1e-14
-    assert abs(circle.kt_l1_linf(f, 2.0) - 1.5) < 1e-14
+    assert abs(kt_closed_form(f, 0.25) - 0.5) < 1e-14
+    assert abs(kt_closed_form(f, 0.5) - 1.0) < 1e-14
+    assert abs(kt_closed_form(f, 0.75) - 1.25) < 1e-14
+    assert abs(kt_closed_form(f, 2.0) - 1.5) < 1e-14
 
 
 def test_partial_integral_interpolates_within_steps():
@@ -147,7 +148,7 @@ def test_partial_integral_interpolates_within_steps():
     # at t = 1.5 grid cells the value is one full cell plus half the next
     t = 1.5 * r.weight
     want = r.weight * r.values[0] + 0.5 * r.weight * r.values[1]
-    assert abs(circle.kt_l1_linf(f, t) - want) < 1e-13
+    assert abs(kt_closed_form(f, t) - want) < 1e-13
 
 
 def test_truncation_split_properties():

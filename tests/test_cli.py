@@ -77,6 +77,43 @@ def test_kfunc_non_finite_array_payload_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def write_ramp8(tmp_path):
+    path = tmp_path / "ramp8.json"
+    path.write_text(json.dumps({"n": 8, "re": list(range(1, 9)), "im": [0.0] * 8}))
+    return str(path)
+
+
+@pytest.mark.parametrize("couple, want", [("seq1,seqinf", "15.0"), ("L1,Linf", "4.5")])
+def test_kfunc_measure_follows_the_couple(tmp_path, capsys, couple, want):
+    assert main(["kfunc", "--couple", couple, "--t", "2", "--in", write_ramp8(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("couple, payload", [
+    ("seq1,seqinf", write_matrix), ("L1,Linf", write_matrix), ("S1,Sinf", write_ramp8),
+])
+def test_kfunc_mismatched_payload_exits_2(tmp_path, capsys, couple, payload):
+    assert main(["kfunc", "--couple", couple, "--t", "1.0", "--in", payload(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_kfunc_non_object_payload_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    assert main(["kfunc", "--couple", "seq1,seq2", "--t", "0.5", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: payload must be a JSON object")
+
+
+def test_kfunc_malformed_field_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 8, "re": {"a": 1}, "im": [0.0] * 8}))
+    assert main(["kfunc", "--couple", "seq1,seq2", "--t", "0.5", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'re'" in err
+
+
 def test_factor_sqrt_monomial(tmp_path, capsys):
     path = write_z2(tmp_path)
     assert main(["factor", "sqrt", "--in", path]) == 0

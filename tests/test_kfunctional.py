@@ -11,6 +11,7 @@ from kclose.kfunctional import (
     default_t_grid,
     jt,
     k_closedness_report,
+    kt_bracket,
     kt_bruteforce,
     kt_closed_form,
     make_decomposition,
@@ -268,3 +269,64 @@ def test_payload_size_limits():
         kt_bruteforce(
             np.ones(5000, dtype=np.complex128), CoupleId.parse("seq1,seq2"), 1.0
         )
+
+
+# ---------------------------------------------------------------------------
+# the K_t route: closed form or solver, measure from the couple
+
+
+def _ramp8():
+    return CircleFunction(np.arange(1, 9).astype(np.complex128))
+
+
+@pytest.mark.parametrize(
+    "couple, payload",
+    [
+        ("L1,Linf", lambda: rand_circle(16, 71)),
+        ("L1,Linf", lambda: rand_circle(16, 71).samples),
+        ("seq1,seqinf", lambda: rand_circle(16, 72)),
+        ("seq1,seqinf", lambda: rand_circle(16, 72).samples),
+        ("S1,Sinf", lambda: MatrixOperator(rand_circle(16, 73).samples.reshape(4, 4))),
+    ],
+)
+def test_bracket_closed_form_inside_solver_bracket(couple, payload):
+    x, c = payload(), CoupleId.parse(couple)
+    for t in (0.05, 0.4, 1.5, 3.0):
+        lower, value = kt_bracket(x, c, t)
+        assert lower == value
+        bf = kt_bruteforce(x, c, t, tol=1e-9)
+        assert bf.lower <= value + 1e-12 * max(1.0, value)
+        assert value <= bf.value + 1e-12 * max(1.0, value)
+
+
+def test_bracket_measure_comes_from_the_couple():
+    f = _ramp8()
+    # counting measure: 8 + 7; grid measure 1/8: (8 + 7 + ... + 1) / 8
+    assert kt_bracket(f, CoupleId.parse("seq1,seqinf"), 2.0) == (15.0, 15.0)
+    assert kt_bracket(f.samples, CoupleId.parse("L1,Linf"), 2.0) == (4.5, 4.5)
+    assert kt_bracket(f, CoupleId.parse("seq1,seqinf"), 2.0) == kt_bracket(
+        f.samples, CoupleId.parse("seq1,seqinf"), 2.0
+    )
+
+
+def test_bracket_other_couples_take_the_solver_sandwich():
+    f = rand_analytic(16, 74)
+    lower, value = kt_bracket(f, CoupleId.parse("h1,hinf"), 0.3, tol=1e-8)
+    assert lower <= value <= lower + 1e-8 * max(1.0, value)
+    assert value >= kt_closed_form(f, 0.3) - 1e-9  # subspace K >= ambient K
+
+
+def test_ambient_lower_takes_the_couple_measure():
+    ramp = np.arange(1, 9) + 0j
+    assert ambient_k_lower(ramp, CoupleId("lebesgue", 1, np.inf), 2.0) == 4.5
+    assert ambient_k_lower(ramp, CoupleId("sequence", 1, np.inf), 2.0) == 15.0
+
+
+def test_interp_norm_same_for_circle_and_array_payloads():
+    f = rand_circle(16, 75)
+    grid = default_t_grid(1e-2, 1e2, 4)
+    for couple in ("L1,Linf", "seq1,seqinf"):
+        c = CoupleId.parse(couple)
+        a = real_interp_norm(f, c, 0.5, 2.0, t_grid=grid)
+        b = real_interp_norm(f.samples, c, 0.5, 2.0, t_grid=grid)
+        assert np.array_equal(a.k_values, b.k_values)

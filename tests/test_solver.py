@@ -355,6 +355,11 @@ PINNED = {
     # warm-started primal and dual
     "kt_seq1_seqinf_warm": (lambda: _kt(_seeded(64, 12), "seq1,seqinf", 2.5, 1e-8),
                             50, 3.933288203432187, 3.9332882034321752),
+    # singular-value warm start: primal and dual, then primal only under the mask
+    "kt_S1_Sinf_warm": (lambda: _kt(_seeded(69, (4, 4)), "S1,Sinf", 1.5, 1e-8),
+                        50, 5.024820003176317, 5.02482000317631),
+    "kt_T1_Tinf_warm": (lambda: _kt(_seeded(70, (4, 4)), "T1,Tinf", 1.5, 1e-6),
+                        250, 6.270591458223881, 6.270586889575666),
     "distance_vector": (lambda: _cert(solve_distance(
         _seeded(65, 16), VectorNorm(1, W16), AnalyticMask(16), tol=1e-7)),
         450, 0.8749420124371567, 0.8749419379059608),
