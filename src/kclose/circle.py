@@ -79,20 +79,6 @@ class CircleFunction:
         k = np.arange(n)
         return cls(np.exp(2j * np.pi * freq * k / n))
 
-    @classmethod
-    def from_coeff_list(cls, coeffs, n: int) -> "CircleFunction":
-        """Analytic polynomial sum_j coeffs[j] z^j sampled on the grid."""
-        c = np.asarray(coeffs, dtype=np.complex128)
-        if c.size > n // 2:
-            raise ValueError("polynomial degree exceeds the analytic bandwidth")
-        full = np.zeros(n, dtype=np.complex128)
-        full[: c.size] = c
-        return from_coeffs(full)
-
-    def grid(self) -> np.ndarray:
-        """Angles 2*pi*k/N of the sample points."""
-        return 2.0 * np.pi * np.arange(self.n) / self.n
-
     # -- serialisation ------------------------------------------------
 
     def to_json(self) -> dict:
@@ -191,11 +177,16 @@ def inner(f: CircleFunction, g: CircleFunction) -> complex:
     return complex(np.vdot(g.samples, f.samples) / f.n)
 
 
+def _negative_frequency_mass(coeffs: np.ndarray) -> float:
+    """Largest modulus among the negative-frequency entries of ``coeffs``,
+    coefficients in FFT order along axis 0 (scalar or matrix-valued)."""
+    neg = np.abs(coeffs[frequencies(coeffs.shape[0]) < 0])
+    return float(neg.max()) if neg.size else 0.0
+
+
 def analyticity_residual(f: CircleFunction) -> float:
     """Largest modulus among the negative-frequency coefficients."""
-    c = fourier_coeffs(f)
-    neg = np.abs(c[frequencies(f.n) < 0])
-    return float(neg.max()) if neg.size else 0.0
+    return _negative_frequency_mass(fourier_coeffs(f))
 
 
 def rearrange(f: CircleFunction) -> Rearrangement:

@@ -18,7 +18,7 @@ from . import hardy, schatten
 from .circle import CircleFunction
 from .factorize import holder_factor, outer_function, sqrt_factor
 from .harness import SUITES, ExperimentConfig, _serialize_payload, run_suite
-from .kfunctional import CoupleId, kt_bracket, kt_bruteforce
+from .kfunctional import CoupleId, couple_norms, kt_bracket, kt_bruteforce
 from .schatten import MatrixOperator, MatrixValuedFunction
 
 __all__ = ["main"]
@@ -129,6 +129,9 @@ def _decomposition_json(dec) -> dict:
 def _cmd_decompose(args) -> int:
     couple = CoupleId.parse(args.couple)
     x = _load_payload(args.infile)
+    couple_norms(couple, x)  # rejects a payload of the wrong shape or size
+    if couple.kind == "hardy" and not isinstance(x, CircleFunction):
+        raise _UsageError("hardy couples need a circle-function payload")
     if couple.kind == "hardy" and couple.p0 == 1 and couple.p1 == np.inf:
         dec = hardy.decompose_h1_hinf(x, args.t, backend=args.backend, tol=args.tol)
     elif couple.kind == "hardy" and couple.p0 == 1:
@@ -154,8 +157,6 @@ def _cmd_suite(args) -> int:
         config.seed = args.seed
     if args.instances is not None:
         config.instances = args.instances
-    if args.workers is not None:
-        config.workers = args.workers
     names = sorted(SUITES) if args.name == "all" else [args.name]
     worst = 0
     for name in names:
@@ -239,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="artifact directory (CSV + JSON summaries)")
     p.add_argument("--seed", type=int)
     p.add_argument("--instances", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("report", help="summarize suite JSON outputs")

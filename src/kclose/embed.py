@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleFunction
+from .kfunctional import _payload_array
 
 __all__ = ["EmbedResult", "kq_embed", "kq_embed_matrix"]
 
@@ -50,7 +51,12 @@ def _values_and_weights(f) -> tuple[np.ndarray, np.ndarray, float]:
     return v, np.full(v.size, 1.0 / max(v.size, 1)), float(v.max(initial=0.0))
 
 
-def kq_embed(f, q: float, n_max: int = 10_000, chunk: int = 5_000) -> EmbedResult:
+# candidate thresholds per vectorised block, so the (block, samples)
+# temporaries stay small whatever n_max is
+_CHUNK = 5_000
+
+
+def kq_embed(f, q: float, n_max: int = 10_000) -> EmbedResult:
     """sup_t of sum_{n<=n_max} t^q m{n^{-1/q}|F| > t} versus integral |F|^q.
 
     Candidate thresholds are v * n^{-1/q} over distinct sample values v;
@@ -72,8 +78,8 @@ def kq_embed(f, q: float, n_max: int = 10_000, chunk: int = 5_000) -> EmbedResul
     best_val, best_t = 0.0, 0.0
     # S(t) = t^q * w * sum_k min(n_max, #{n : n^{-1/q} v_k >= t}); the count
     # is floor((v_k/t)^q) with a nudge so exact breakpoints land inclusively
-    for start in range(0, cands.size, chunk):
-        block = cands[start : start + chunk]
+    for start in range(0, cands.size, _CHUNK):
+        block = cands[start : start + _CHUNK]
         ratio = (values[None, :] / block[:, None]) ** q
         counts = np.floor(ratio * (1.0 + 1e-9) + 1e-12)
         s = block**q * w * np.minimum(counts, n_max).sum(axis=1)
@@ -103,8 +109,7 @@ def kq_embed_matrix(x, q: float, n_max: int = 10_000) -> EmbedResult:
         raise ValueError(f"q must lie in (1, inf), got {q}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = getattr(x, "entries", x)
-    sv = np.linalg.svd(np.asarray(entries, dtype=np.complex128), compute_uv=False)
+    sv = np.linalg.svd(_payload_array(x), compute_uv=False)
     sv = sv[sv > 0.0]
     target = float(np.sum(sv**q) ** (1.0 / q))
     if sv.size == 0:

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 COEFF_TRIM = 1e-13
+# zeros this close to the unit circle are treated as outer, so every
+# Blaschke zero stays strictly inside the disc
+ZERO_MARGIN = 1e-8
 
 
 class BoundaryZeroWarning(UserWarning):
@@ -58,7 +61,7 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
-        if z.size and np.abs(z).max() > 1.0 - 1e-8:
+        if z.size and np.abs(z).max() > 1.0 - ZERO_MARGIN:
             raise ValueError("Blaschke zeros must stay a margin inside the disc")
         object.__setattr__(self, "zeros", z)
         r = complex(self.rotation)
@@ -118,20 +121,13 @@ def _analytic_completion(u: np.ndarray) -> np.ndarray:
     return np.fft.ifft(comp) * n
 
 
-def outer_function(w, n: int | None = None) -> OuterFunction:
+def outer_function(w) -> OuterFunction:
     """Outer function with boundary modulus w; every sample must be > 0.
 
     Callers holding a modulus that may vanish must regularize first (clip at
-    their own eps_zero), mirroring how every factorization here floors |f|.
+    a floor), mirroring how every factorization here floors |f|.
     """
-    if isinstance(w, CircleFunction):
-        raw = w.samples
-    else:
-        raw = np.asarray(w)
-        if raw.ndim == 0:
-            if n is None:
-                raise ValueError("scalar modulus needs an explicit grid size n")
-            raw = np.full(n, complex(raw))
+    raw = w.samples if isinstance(w, CircleFunction) else np.asarray(w)
     if np.iscomplexobj(raw) and raw.size and np.abs(raw.imag).max() > 0:
         raise ValueError("weight must be real-valued (pass the modulus, not the function)")
     mod = np.asarray(raw.real if np.iscomplexobj(raw) else raw, dtype=float)
@@ -151,7 +147,7 @@ def outer_function(w, n: int | None = None) -> OuterFunction:
     )
 
 
-def _polynomial_zeros(f: CircleFunction, zero_margin: float) -> np.ndarray:
+def _polynomial_zeros(f: CircleFunction) -> np.ndarray:
     """Zeros inside the disc of the analytic polynomial carried by f."""
     coeffs = circle.fourier_coeffs(f)
     freqs = circle.frequencies(f.n)
@@ -165,15 +161,15 @@ def _polynomial_zeros(f: CircleFunction, zero_margin: float) -> np.ndarray:
         return origin
     roots = np.concatenate([origin, np.roots(c[::-1])])
     mods = np.abs(roots)
-    on_circle = (mods >= 1.0 - zero_margin) & (mods <= 1.0 + zero_margin)
+    on_circle = (mods >= 1.0 - ZERO_MARGIN) & (mods <= 1.0 + ZERO_MARGIN)
     if np.any(on_circle):
         warnings.warn(
-            f"{int(on_circle.sum())} zero(s) within {zero_margin:.1e} of the unit "
+            f"{int(on_circle.sum())} zero(s) within {ZERO_MARGIN:.1e} of the unit "
             "circle; they are treated as outer and will show up in the residual",
             BoundaryZeroWarning,
             stacklevel=4,
         )
-    return roots[mods < 1.0 - zero_margin]
+    return roots[mods < 1.0 - ZERO_MARGIN]
 
 
 @dataclass(frozen=True)
@@ -190,9 +186,10 @@ class SqrtFactorization:
         return CircleFunction(b.samples * self.outer.boundary.samples**2)
 
 
-def _inner_outer_preamble(f: CircleFunction, name: str, eps_zero, zero_margin: float):
+def _inner_outer_preamble(f: CircleFunction, name: str):
     """Check f is analytic and nonzero; return its Blaschke zeros, their
-    unrotated boundary samples, max(|f|, eps_zero) and eps_zero."""
+    unrotated boundary samples, max(|f|, eps_zero) and the floor
+    eps_zero = 1e-12 * max|f|."""
     if not np.any(f.samples):
         raise ValueError(f"{name} expects a function that is not identically zero")
     scale = float(np.abs(f.samples).max())
@@ -201,9 +198,8 @@ def _inner_outer_preamble(f: CircleFunction, name: str, eps_zero, zero_margin: f
         raise ValueError(
             f"{name} expects an analytic function; negative-frequency mass {res:.3e}"
         )
-    if eps_zero is None:
-        eps_zero = 1e-12 * scale
-    zeros = _polynomial_zeros(f, zero_margin)
+    eps_zero = 1e-12 * scale
+    zeros = _polynomial_zeros(f)
     blaschke = BlaschkeProduct(zeros).boundary(f.n).samples
     return zeros, blaschke, np.maximum(np.abs(f.samples), eps_zero), eps_zero
 
@@ -217,16 +213,14 @@ def _relative_residual(f: CircleFunction, approx: np.ndarray) -> float:
     return float(np.abs(f.samples - approx).max() / np.abs(f.samples).max())
 
 
-def sqrt_factor(
-    f: CircleFunction, eps_zero: float | None = None, zero_margin: float = 1e-8
-) -> SqrtFactorization:
+def sqrt_factor(f: CircleFunction) -> SqrtFactorization:
     """Square-free form f = B * F^2: Blaschke carries the zeros, F is outer.
 
-    |F|^2 = max(|f|, eps_zero) on the grid, so F is bounded away from zero
-    and dividing by it is stable; the price is the reported residual when f
-    itself nearly vanishes somewhere.
+    |F|^2 = max(|f|, eps_zero) on the grid, eps_zero = 1e-12 * max|f|, so F
+    is bounded away from zero and dividing by it is stable; the price is the
+    reported residual when f itself nearly vanishes somewhere.
     """
-    zeros, b, mod, eps_zero = _inner_outer_preamble(f, "sqrt_factor", eps_zero, zero_margin)
+    zeros, b, mod, eps_zero = _inner_outer_preamble(f, "sqrt_factor")
     out = outer_function(np.sqrt(mod))
     approx = b * out.boundary.samples**2
     rot = _fit_rotation(f, approx)
@@ -248,21 +242,14 @@ class HolderFactorization:
     norms: dict = field(default_factory=dict)
 
 
-def holder_factor(
-    f: CircleFunction,
-    p: float,
-    r: float,
-    s: float,
-    eps_zero: float | None = None,
-    zero_margin: float = 1e-8,
-) -> HolderFactorization:
+def holder_factor(f: CircleFunction, p: float, r: float, s: float) -> HolderFactorization:
     """Split an H^p function into H^r * H^s along a conjugate-exponent pair."""
     for name, val in (("p", p), ("r", r), ("s", s)):
         if not val >= 1 or val == np.inf:
             raise ValueError(f"{name} must be finite and >= 1, got {val}")
     if abs(1.0 / p - (1.0 / r + 1.0 / s)) > 1e-12:
         raise ValueError(f"need 1/p = 1/r + 1/s, got 1/{p} vs 1/{r} + 1/{s}")
-    _, b, mod, _ = _inner_outer_preamble(f, "holder_factor", eps_zero, zero_margin)
+    _, b, mod, _ = _inner_outer_preamble(f, "holder_factor")
     out_g = outer_function(mod ** (p / r))
     h = outer_function(mod ** (p / s)).boundary
     g0 = b * out_g.boundary.samples
@@ -277,9 +264,9 @@ def holder_factor(
     return HolderFactorization(g=g, h=h, residual=residual, norms=norms)
 
 
-def inner_outer(f: CircleFunction, eps_zero: float | None = None, zero_margin: float = 1e-8):
+def inner_outer(f: CircleFunction):
     """f = B * O with B Blaschke and O outer; returns (B, O, residual)."""
-    zeros, b, mod, _ = _inner_outer_preamble(f, "inner_outer", eps_zero, zero_margin)
+    zeros, b, mod, _ = _inner_outer_preamble(f, "inner_outer")
     out = outer_function(mod)
     approx = b * out.boundary.samples
     rot = _fit_rotation(f, approx)

@@ -99,12 +99,7 @@ def _exactify(f: CircleFunction, x0_raw: np.ndarray) -> tuple[np.ndarray, np.nda
     return x0, f.samples - x0, leakage
 
 
-def decompose_h1_hq(
-    f: CircleFunction,
-    q: float,
-    t: float,
-    eps_zero: float | None = None,
-) -> CoupleDecomposition:
+def decompose_h1_hq(f: CircleFunction, q: float, t: float) -> CoupleDecomposition:
     """Squaring route for the (1, q) analytic couple, 1 < q < inf.
 
     f = B*F^2; F splits at sqrt(t) in exponents (2, 2q); expanding the
@@ -121,7 +116,7 @@ def decompose_h1_hq(
     couple = CoupleId("hardy", 1, q)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
-    fac = sqrt_factor(f, eps_zero=eps_zero)
+    fac = sqrt_factor(f)
     b = fac.blaschke.boundary(f.n).samples
     # the sampled exponential is only approximately analytic; split its
     # analytic part so the base case sees an exactly admissible input
@@ -238,13 +233,14 @@ def simultaneous_approx(
     f: CircleFunction,
     tol: float = 1e-6,
     max_iter: int = 400_000,
-    degenerate_tol: float = 1e-10,
 ) -> SimultaneousResult:
     """Find one analytic h close to f in L1 and Linf simultaneously.
 
     With d1, dinf the separate distances, minimizes
     max(||f-h||_1/d1, ||f-h||_inf/dinf) over analytic h; the achieved max
-    is reported together with both individual ratios.
+    is reported together with both individual ratios.  If either distance
+    is below 1e-10 * max(1, max|f|), f is treated as analytic and h is its
+    Riesz projection (``meta["degenerate"]``).
     """
     mask = AnalyticMask(f.n)
     w = 1.0 / f.n
@@ -253,7 +249,7 @@ def simultaneous_approx(
     cinf = solve_distance(f.samples, ninf, mask, tol=tol * 1e-2, max_iter=max_iter)
     d1, dinf = c1.primal, cinf.primal
     scale = max(1.0, float(np.abs(f.samples).max()))
-    if d1 < degenerate_tol * scale or dinf < degenerate_tol * scale:
+    if d1 < 1e-10 * scale or dinf < 1e-10 * scale:
         h = circle.riesz_project(f)
         return SimultaneousResult(
             h=h, k_achieved=1.0, d1=d1, dinf=dinf, ratio_1=1.0, ratio_inf=1.0,

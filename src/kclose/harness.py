@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +75,6 @@ class ExperimentConfig:
     eps_reg: float = 1e-8
     instances: int = 10
     n_max: int = 10_000
-    workers: int = 1
 
     def __post_init__(self):
         circle._check_grid_size(self.grid_n)
@@ -105,13 +103,12 @@ class ExperimentConfig:
             "thresholds": self.thresholds,
             "instances": self.instances,
             "n_max": self.n_max,
-            "workers": self.workers,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         kw = {}
-        for key in ("seed", "grid_n", "matrix_n", "instances", "n_max", "workers"):
+        for key in ("seed", "grid_n", "matrix_n", "instances", "n_max"):
             if key in data:
                 kw[key] = data[key]
         tg = data.get("t_grid", {})
@@ -406,7 +403,7 @@ def _suite_matrix_valued(config: ExperimentConfig, idx: int):
     rows, bad = [], []
     for t in (0.3, 1.0, 3.0):
         dec = schatten.matrix_valued_split(f, 1, 1, np.inf, np.inf, float(t),
-                                           eps=1e-6, tol=max(config.tol, 1e-6),
+                                           tol=max(config.tol, 1e-6),
                                            max_iter=config.max_iter)
         amb = schatten.ambient_mixed_kt(f, 1, 1, np.inf, np.inf, float(t),
                                         tol=config.tol, max_iter=config.max_iter)
@@ -448,14 +445,9 @@ def run_suite(suite: str, config: ExperimentConfig, out_dir: str | None = None) 
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     body = SUITES[suite]
-    indices = list(range(config.instances))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(lambda i: body(config, i), indices))
-    else:
-        outcomes = [body(config, i) for i in indices]
     rows, violations = [], []
-    for i, (rs, bad) in zip(indices, outcomes):
+    for i in range(config.instances):
+        rs, bad = body(config, i)
         rows.extend(rs)
         for payload, row, why in bad:
             violations.append({

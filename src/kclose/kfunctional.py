@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +112,9 @@ class CoupleId:
 
 
 def _payload_array(x) -> np.ndarray:
-    if isinstance(x, CircleFunction):
-        return x.samples
+    samples = getattr(x, "samples", None)  # CircleFunction, MatrixValuedFunction
+    if samples is not None:
+        return samples
     entries = getattr(x, "entries", None)
     if entries is not None:
         return np.asarray(entries, dtype=np.complex128)
@@ -194,9 +194,7 @@ class CoupleDecomposition:
 
 def _membership_residual(couple: CoupleId, arr: np.ndarray) -> float:
     if couple.kind == "hardy":
-        c = np.fft.fft(arr) / arr.size
-        neg = np.abs(c[circle.frequencies(arr.size) < 0])
-        return float(neg.max()) if neg.size else 0.0
+        return circle._negative_frequency_mass(np.fft.fft(arr) / arr.size)
     if couple.kind == "triangular":
         n = int(round(np.sqrt(arr.size)))
         low = np.tril(arr.reshape(n, n), -1)
@@ -226,17 +224,13 @@ def make_decomposition(couple: CoupleId, t: float, x, a0: np.ndarray, a1: np.nda
 # closed form and brute force
 
 
-def kt_closed_form(x, t: float, p0: float = 1, p1: float = np.inf, weight: float | None = None) -> float:
-    """Exact K_t for (1, inf) couples from the decreasing rearrangement.
+def kt_closed_form(x, t: float, weight: float | None = None) -> float:
+    """Exact K_t for the (1, inf) couple from the decreasing rearrangement.
 
     ``x`` may be a Rearrangement, a CircleFunction, or a plain sequence of
     values (taken with counting measure unless ``weight`` is given).  Other
     exponent pairs have no closed form here; use :func:`kt_bruteforce`.
     """
-    if not (_parse_exponent(p0) == 1 and _parse_exponent(p1) == np.inf):
-        raise NotImplementedError(
-            f"closed form only for exponents (1, inf); got ({p0}, {p1}) -- use kt_bruteforce"
-        )
     if t < 0:
         raise ValueError("t must be nonnegative")
     if isinstance(x, CircleFunction):
@@ -528,13 +522,3 @@ def k_closedness_report(
         rows.append(KReportRow(float(t), float(amb), float(dec.cost), float(ratio)))
     c_est = max((r.ratio for r in rows), default=1.0)
     return KReport(couple=couple, rows=rows, c_estimate=c_est)
-
-
-def report_to_file(report: KReport, path_csv=None, path_json=None):
-    if path_csv is not None:
-        with open(path_csv, "w") as fh:
-            fh.write(report.to_csv())
-    if path_json is not None:
-        with open(path_json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -29,6 +29,7 @@ from . import circle
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
+    _payload_array,
     best_truncation_level,
     kt_bruteforce,
     kt_closed_form,
@@ -103,15 +104,9 @@ class MatrixOperator:
         return cls(re + 1j * im)
 
 
-def _entries(x) -> np.ndarray:
-    if isinstance(x, MatrixOperator):
-        return x.entries
-    return np.asarray(x, dtype=np.complex128)
-
-
 def singular_values(x) -> np.ndarray:
     """Singular values, non-increasing."""
-    return np.linalg.svd(_entries(x), compute_uv=False)
+    return np.linalg.svd(_payload_array(x), compute_uv=False)
 
 
 def schatten_norm(x, p: float) -> float:
@@ -126,13 +121,13 @@ def schatten_norm(x, p: float) -> float:
 
 def triangular_part(x):
     """Orthogonal (trace-inner-product) projection onto upper triangular."""
-    out = np.triu(_entries(x))
+    out = np.triu(_payload_array(x))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
 
 
 def diagonal_part(x):
     """Keep the diagonal only."""
-    m = _entries(x)
+    m = _payload_array(x)
     out = np.diag(np.diag(m))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
 
@@ -186,7 +181,7 @@ def triangular_factor(x, p: float, r: float, q: float) -> TriangularFactorizatio
     Both give ||a||_r ||b||_q = ||x||_p exactly: the factor moduli are
     |x|^{p/r} and |x|^{p/q} up to unitary similarity.
     """
-    m = _entries(x)
+    m = _payload_array(x)
     n = m.shape[0]
     _check_triangular(m, "triangular_factor input")
     s = np.linalg.svd(m, compute_uv=False)
@@ -256,13 +251,7 @@ def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float):
     return a0, m - a0, {"level": lam, "ambient_cost": ambient}
 
 
-def decompose_t1_tq(
-    x,
-    q: float,
-    t: float,
-    eps_reg: float | None = None,
-    extrapolate: bool = True,
-) -> CoupleDecomposition:
+def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> CoupleDecomposition:
     """Squaring decomposition of triangular x for the (1, q) couple.
 
     b is the upper Cholesky factor of |x| + eps*I and a = x b^{-1}, so both
@@ -270,14 +259,15 @@ def decompose_t1_tq(
     (2, 2q) by level truncation plus triangular projection, and the cross
     products are placed by a further split at t.  Reconstruction is exact
     for any eps because a b = x by construction; the cost's eps dependence
-    is removed by Richardson extrapolation across eps and eps/2.
+    is removed by Richardson extrapolation across eps and eps/2, and the
+    returned split is the eps/2 one.
     """
     q = float(q)
     if not (1.0 < q < np.inf):
         raise ValueError(f"q must lie strictly inside (1, inf), got {q}")
     if t <= 0:
         raise ValueError("t must be positive")
-    m = _entries(x)
+    m = _payload_array(x)
     n = m.shape[0]
     couple = CoupleId("triangular", 1, q)
     if not np.any(m):
@@ -310,18 +300,17 @@ def decompose_t1_tq(
         }
         return x0, x1, cost, detail
 
-    x0, x1, cost, detail = run(eps_reg)
-    meta = {"eps_reg": eps_reg, "cost_eps": cost, **detail}
-    if extrapolate:
-        x0h, x1h, cost_h, detail_h = run(eps_reg / 2.0)
-        meta.update(
-            cost_eps_half=cost_h,
-            cost_extrapolated=2.0 * cost_h - cost,
-            expansion_residual=max(detail["expansion_residual"], detail_h["expansion_residual"]),
-        )
-        x0, x1 = x0h, x1h
-    dec = make_decomposition(couple, t, x, x0, x1, meta=meta)
-    return dec
+    _, _, cost, detail = run(eps_reg)
+    x0, x1, cost_h, detail_h = run(eps_reg / 2.0)
+    meta = {
+        "eps_reg": eps_reg,
+        "cost_eps": cost,
+        **detail,
+        "cost_eps_half": cost_h,
+        "cost_extrapolated": 2.0 * cost_h - cost,
+        "expansion_residual": max(detail["expansion_residual"], detail_h["expansion_residual"]),
+    }
+    return make_decomposition(couple, t, x, x0, x1, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +319,7 @@ def decompose_t1_tq(
 
 def dist_triangular_inf(x) -> float:
     """Operator-norm distance to upper triangular: the largest corner block."""
-    m = _entries(x)
+    m = _payload_array(x)
     n = m.shape[0]
     best = 0.0
     for k in range(1, n):
@@ -341,7 +330,7 @@ def dist_triangular_inf(x) -> float:
 
 def dist_triangular_inf_oracle(x, tol: float = 1e-8, max_iter: int = 400_000):
     """Convex-program distance in the operator norm, with certificate."""
-    m = _entries(x)
+    m = _payload_array(x)
     n = m.shape[0]
     cert = solve_distance(
         m.ravel(), SchattenNorm(np.inf, n), TriangularMask(n), tol=tol, max_iter=max_iter
@@ -351,7 +340,7 @@ def dist_triangular_inf_oracle(x, tol: float = 1e-8, max_iter: int = 400_000):
 
 def dist_triangular_1(x, tol: float = 1e-8, max_iter: int = 400_000):
     """Trace-norm distance to upper triangular, with dual witness."""
-    m = _entries(x)
+    m = _payload_array(x)
     n = m.shape[0]
     cert = solve_distance(
         m.ravel(), SchattenNorm(1.0, n), TriangularMask(n), tol=tol, max_iter=max_iter
@@ -377,10 +366,13 @@ def simultaneous_triangular_approx(
     x,
     tol: float = 1e-6,
     max_iter: int = 400_000,
-    degenerate_tol: float = 1e-10,
 ) -> SimultaneousMatrixResult:
-    """Minimize max(||x - y||_1/d1, ||x - y||_inf/dinf) over triangular y."""
-    m = _entries(x)
+    """Minimize max(||x - y||_1/d1, ||x - y||_inf/dinf) over triangular y.
+
+    If either distance is below 1e-10 * max(1, max|x|), x is treated as
+    triangular and y is its triangular part (``meta["degenerate"]``).
+    """
+    m = _payload_array(x)
     n = m.shape[0]
     mask = TriangularMask(n)
     n1, ninf = SchattenNorm(1.0, n), SchattenNorm(np.inf, n)
@@ -388,7 +380,7 @@ def simultaneous_triangular_approx(
     cinf = solve_distance(m.ravel(), ninf, mask, tol=tol * 1e-2, max_iter=max_iter)
     d1, dinf = c1.primal, cinf.primal
     scale = max(1.0, float(np.abs(m).max()))
-    if d1 < degenerate_tol * scale or dinf < degenerate_tol * scale:
+    if d1 < 1e-10 * scale or dinf < 1e-10 * scale:
         xhat = triangular_part(m)
         return SimultaneousMatrixResult(
             xhat=MatrixOperator(xhat), k_achieved=1.0, d1=d1, dinf=dinf,
@@ -450,9 +442,7 @@ class MatrixValuedFunction:
         return np.fft.fft(self.samples, axis=0) / self.npoints
 
     def analyticity_residual(self) -> float:
-        c = self.coeffs()
-        neg = c[circle.frequencies(self.npoints) < 0]
-        return float(np.abs(neg).max()) if neg.size else 0.0
+        return circle._negative_frequency_mass(self.coeffs())
 
     def riesz_project(self) -> "MatrixValuedFunction":
         c = np.fft.fft(self.samples, axis=0)
@@ -477,18 +467,18 @@ class MatrixValuedFunction:
         return cls(re + 1j * im)
 
 
-def matrix_outer_factor(v: MatrixValuedFunction, blocks: int | None = None):
+def matrix_outer_factor(v: MatrixValuedFunction):
     """Analytic F with F(theta)* F(theta) = v(theta), v hermitian positive.
 
-    Toeplitz-Cholesky (Bauer) construction: Cholesky the big block-Toeplitz
-    matrix [vhat_{j-i}] and read the stabilized last block row as the moving
-    -average coefficients; their adjoints are the Fourier coefficients of F.
+    Toeplitz-Cholesky (Bauer) construction: Cholesky the block-Toeplitz
+    matrix [vhat_{j-i}] of 4 * npoints blocks and read the stabilized last
+    block row as the moving-average coefficients; their adjoints are the
+    Fourier coefficients of F.
     Returns (F, residual) where residual is the sup over the grid of the
     operator-norm error of F*F against v.
     """
     npts, n = v.npoints, v.matdim
-    if blocks is None:
-        blocks = 4 * npts
+    blocks = 4 * npts
     vhat = v.coeffs()
     freqs = circle.frequencies(npts)
     lookup = {int(k): vhat[i] for i, k in enumerate(freqs)}
@@ -505,7 +495,7 @@ def matrix_outer_factor(v: MatrixValuedFunction, blocks: int | None = None):
     last = low[(blocks - 1) * n :, :]
     fhat = np.zeros((npts, n, n), dtype=np.complex128)
     half = npts // 2
-    for k in range(min(half, blocks)):
+    for k in range(half):
         a_k = last[:, (blocks - 1 - k) * n : (blocks - k) * n]
         fhat[k] = a_k.conj().T
     fsam = np.fft.ifft(fhat * npts, axis=0)
@@ -561,17 +551,16 @@ def matrix_valued_split(
     p1: float,
     q1: float,
     t: float,
-    eps: float = 1e-6,
     tol: float = 1e-6,
     max_iter: int = 200_000,
 ) -> MatrixValuedDecomposition:
     """Squaring split of an analytic matrix-valued f for a mixed-norm couple.
 
-    V = |f| + eps*I factors as F*F with F analytic; G = f F^{-1} is the
-    other square-root-sized half.  F and G split at sqrt(t) in the doubled
-    couple (2p0', 2q0') = (2, 2)-type mixed norms via the convex solver, the
-    four products recombine, and the result is re-projected so membership
-    and reconstruction are exact.
+    V = |f| + eps*I, eps = 1e-6, factors as F*F with F analytic; G = f F^{-1}
+    is the other square-root-sized half.  F and G split at sqrt(t) in the
+    doubled couple (2p0', 2q0') = (2, 2)-type mixed norms via the convex
+    solver, the four products recombine, and the result is re-projected so
+    membership and reconstruction are exact.
     """
     if f.matdim > 8 or f.npoints > 32:
         raise ValueError("matrix-valued splits support matdim <= 8 and npoints <= 32")
@@ -592,6 +581,7 @@ def matrix_valued_split(
     if res > 1e-6 * np.abs(sam).max():
         raise ValueError(f"matrix_valued_split expects analytic input (residual {res:.2e})")
     absf = np.stack([_herm_power(sam[i].conj().T @ sam[i], 0.5) for i in range(npts)])
+    eps = 1e-6
     v = MatrixValuedFunction(absf + eps * np.eye(n))
     bigf, fac_residual = matrix_outer_factor(v)
     # G = f F^{-1} pointwise, so G F = f; solve F^T G^T = f^T per grid point

@@ -269,18 +269,16 @@ class MixedNorm:
     """L^p(C_q) norm of a matrix-valued grid function, flattened.
 
     The variable is an (npoints, n, n) complex array stored flat; the value
-    is the weighted outer-p norm over grid points of the inner Schatten-q
-    norms.  Implemented exponent pairs (p, q): (1,1), (1,2), (1,inf),
-    (2,2), (inf,2), (inf,inf) -- all the doubled and endpoint couples the
-    decompositions here need.  Use a plain :class:`VectorNorm` when n == 1.
+    is the outer-p norm, weight 1/npoints per grid point, of the inner
+    Schatten-q norms.  Implemented exponent pairs (p, q): (1,1), (1,2),
+    (1,inf), (2,2), (inf,2), (inf,inf) -- all the doubled and endpoint
+    couples the decompositions here need.  Use a plain :class:`VectorNorm` when n == 1.
     """
 
     kind = "mixed"
     _pairs = {(1.0, 1.0), (1.0, 2.0), (1.0, np.inf), (2.0, 2.0), (np.inf, 2.0), (np.inf, np.inf)}
 
-    def __init__(self, p: float, q: float, npoints: int, n: int, weight: float | None = None):
-        if weight is None:
-            weight = 1.0 / npoints
+    def __init__(self, p: float, q: float, npoints: int, n: int):
         if (float(p), float(q)) not in self._pairs:
             raise NotImplementedError(
                 f"mixed norm L^{p}(C_{q}) has no projection rule here; "
@@ -288,7 +286,7 @@ class MixedNorm:
             )
         self.p, self.q = float(p), float(q)
         self.npoints, self.n = int(npoints), int(n)
-        self.weight = float(weight)
+        self.weight = 1.0 / self.npoints
 
     def _mats(self, v):
         return v.reshape(self.npoints, self.n, self.n)

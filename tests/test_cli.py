@@ -161,6 +161,31 @@ def test_decompose_triangular_couple(tmp_path, capsys):
     assert body["cost"] > 0 and body["membership_residual"] < 1e-8
 
 
+def write_array8(tmp_path):
+    path = tmp_path / "arr8.json"
+    path.write_text(json.dumps({"type": "array", "re": list(range(1, 9)), "im": [0.0] * 8}))
+    return str(path)
+
+
+def write_matrix_valued(tmp_path):
+    path = tmp_path / "mv.json"
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path.write_text(json.dumps({"npoints": 8, "n": 2, "re": [eye] * 8, "im": [zero] * 8}))
+    return str(path)
+
+
+@pytest.mark.parametrize("couple, payload", [
+    ("h1,hinf", write_matrix), ("h1,h2", write_matrix), ("h2,h4", write_matrix),
+    ("T1,T2", write_ramp8), ("h1,hinf", write_array8), ("L1,L2", write_matrix_valued),
+])
+def test_decompose_mismatched_payload_exits_2(tmp_path, capsys, couple, payload):
+    assert main(["decompose", "--couple", couple, "--t", "0.5", "--in", payload(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_suite_runs_and_reports(tmp_path, capsys):
     cfg = {
         "seed": 7,
@@ -207,6 +232,12 @@ def test_suite_guard_failure_exits_1(tmp_path, capsys):
 
 def test_suite_unknown_name_exits_2(capsys):
     assert main(["suite", "bogus"]) == 2
+
+
+def test_suite_rejects_workers_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "prop25_identity", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_report_empty_exits_2(tmp_path, capsys):

@@ -106,6 +106,11 @@ def test_outer_rejects_bad_weights():
         outer_function(np.full(16, 1.0 + 0.1j))
 
 
+def test_outer_rejects_scalar_weight():
+    with pytest.raises(ValueError, match="grid size"):
+        outer_function(4.0)
+
+
 # ---------------------------------------------------------------------------
 # square-free factorization
 

@@ -44,7 +44,7 @@ def test_config_t_grid_endpoints():
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = small_config(workers=2, n_max=2000)
+    cfg = small_config(n_max=2000)
     cfg.thresholds["jones_h1_hinf"] = 5.0
     data = cfg.to_json()
     back = ExperimentConfig.from_json(data)
@@ -53,7 +53,13 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps(data))
     loaded = ExperimentConfig.load(str(path))
     assert loaded.thresholds["jones_h1_hinf"] == 5.0
-    assert loaded.grid_n == 16 and loaded.workers == 2
+    assert loaded.grid_n == 16
+
+
+def test_config_json_loads_files_with_a_workers_key():
+    cfg = ExperimentConfig.from_json({"seed": 3, "workers": 2})
+    assert cfg.seed == 3
+    assert "workers" not in cfg.to_json()
 
 
 def test_config_partial_json_uses_defaults():
@@ -156,10 +162,7 @@ def test_suite_csv_bytes_deterministic(tmp_path):
     ba = (tmp_path / "a" / "jones_h1_hinf.csv").read_bytes()
     bb = (tmp_path / "b" / "jones_h1_hinf.csv").read_bytes()
     assert ba == bb
-    cfg2 = small_config(workers=2)
-    c = run_suite("jones_h1_hinf", cfg2, out_dir=str(tmp_path / "c"))
-    assert (tmp_path / "c" / "jones_h1_hinf.csv").read_bytes() == ba
-    assert a.summary["c_estimate"] == b.summary["c_estimate"] == c.summary["c_estimate"]
+    assert a.summary["c_estimate"] == b.summary["c_estimate"]
 
 
 def test_guard_violation_serializes_offender(tmp_path):
