@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleFunction
-from .kfunctional import _payload_array
+from .kfunctional import _square_array
 
 __all__ = ["EmbedResult", "kq_embed", "kq_embed_matrix"]
 
@@ -109,7 +109,7 @@ def kq_embed_matrix(x, q: float, n_max: int = 10_000) -> EmbedResult:
         raise ValueError(f"q must lie in (1, inf), got {q}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sv = np.linalg.svd(_payload_array(x), compute_uv=False)
+    sv = np.linalg.svd(_square_array(x), compute_uv=False)
     sv = sv[sv > 0.0]
     target = float(np.sum(sv**q) ** (1.0 / q))
     if sv.size == 0:

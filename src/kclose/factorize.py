@@ -132,6 +132,8 @@ def outer_function(w) -> OuterFunction:
         raise ValueError("weight must be real-valued (pass the modulus, not the function)")
     mod = np.asarray(raw.real if np.iscomplexobj(raw) else raw, dtype=float)
     circle._check_grid_size(mod.size)
+    if mod.ndim != 1:
+        raise ValueError(f"weight must be one-dimensional, got shape {mod.shape}")
     if mod.min() <= 0.0:
         raise ValueError("vanishing modulus: outer_function needs min w > 0")
     logw = np.log(mod)

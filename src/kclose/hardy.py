@@ -33,7 +33,6 @@ from .kfunctional import (
     CoupleId,
     best_truncation_level,
     kt_bruteforce,
-    kt_closed_form,
     make_decomposition,
 )
 from .solver import AnalyticMask, VectorNorm, solve_distance, solve_minmax_distance
@@ -53,16 +52,6 @@ def _zero_split(couple: CoupleId, t: float, f: CircleFunction) -> CoupleDecompos
     return make_decomposition(couple, t, f, z, z.copy())
 
 
-def _best_truncation_level(f: CircleFunction, p0: float, p1: float, t: float):
-    """Best ambient truncation level of f and its split cost."""
-
-    def cost(lam: float) -> float:
-        tall, flat = circle.truncate_at_level(f, lam)
-        return circle.lp_norm(tall, p0) + t * circle.lp_norm(flat, p1)
-
-    return best_truncation_level(cost, float(np.abs(f.samples).max()))
-
-
 def decompose_base(f: CircleFunction, p0: float, p1: float, t: float) -> CoupleDecomposition:
     """Project the best ambient truncation split; valid for 1 < p0 < p1 < inf."""
     p0, p1 = float(p0), float(p1)
@@ -75,10 +64,11 @@ def decompose_base(f: CircleFunction, p0: float, p1: float, t: float) -> CoupleD
     couple = CoupleId("hardy", p0, p1)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
+    moduli = np.abs(f.samples)
     res = circle.analyticity_residual(f)
-    if res > 1e-8 * np.abs(f.samples).max():
+    if res > 1e-8 * moduli.max():
         raise ValueError(f"decompose_base expects an analytic function (residual {res:.2e})")
-    lam, ambient_cost = _best_truncation_level(f, p0, p1, t)
+    lam, ambient_cost = best_truncation_level(moduli, 1.0 / f.n, p0, p1, t)
     tall, _ = circle.truncate_at_level(f, lam)
     x0 = circle.riesz_project(tall).samples
     x1 = f.samples - x0
@@ -180,7 +170,7 @@ def decompose_h1_hinf(
     big_f = circle.riesz_project(fac.outer.boundary)
     fres = kt_bruteforce(big_f, CoupleId("hardy", 2, np.inf), np.sqrt(t), tol=tol, max_iter=max_iter)
     g0, g1 = fres.decomposition.x0.samples, fres.decomposition.x1.samples
-    main0, main1 = b * g0 * g0, b * g1 * g1
+    main0 = b * g0 * g0
     # the cross term sits in exponent 2; straddle it with (3/2, 4)
     cross = circle.riesz_project(CircleFunction(2.0 * b * g0 * g1))
     csplit = decompose_base(cross, 1.5, 4.0, t)

@@ -319,7 +319,7 @@ def _suite_lemma23(config: ExperimentConfig, idx: int):
     m = x.entries
     scale = float(np.abs(m).max())
     rows, bad = [], []
-    for k, (p, r, q) in enumerate(_LEMMA23_TRIPLES):
+    for p, r, q in _LEMMA23_TRIPLES:
         fac = schatten.triangular_factor(x, p, r, q)
         a, b = fac.a.entries, fac.b.entries
         low = max(

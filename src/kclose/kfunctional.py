@@ -121,6 +121,14 @@ def _payload_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128)
 
 
+def _square_array(x) -> np.ndarray:
+    """The payload of x, which must be a square matrix."""
+    arr = _payload_array(x)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def _wrap_like(x, arr: np.ndarray):
     if isinstance(x, CircleFunction):
         return CircleFunction(arr)
@@ -149,9 +157,7 @@ def couple_norms(couple: CoupleId, x):
             raise ValueError(f"sequence length {arr.size} above {MAX_SEQUENCE}")
         return VectorNorm(couple.p0, 1.0), VectorNorm(couple.p1, 1.0), None
     # matrix couples
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix couples need square arrays")
-    n = arr.shape[0]
+    n = _square_array(arr).shape[0]
     if n > MAX_MATRIX:
         raise ValueError(f"matrix size {n} above the supported bound {MAX_MATRIX}")
     mask = TriangularMask(n) if couple.kind == "triangular" else None
@@ -246,15 +252,24 @@ def kt_closed_form(x, t: float, weight: float | None = None) -> float:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def best_truncation_level(cost, top: float):
-    """Truncation level minimising ``cost``, as ``(level, cost(level))``.
+def best_truncation_level(values: np.ndarray, weight: float, p0: float, p1: float, t: float):
+    """Best level of the ambient truncation split, as ``(level, cost)``.
 
-    Golden-section search on log(level) over [1e-12*top, top]; the ends 0
-    and ``top`` are candidates too, and among equal costs the smallest level
-    wins.  ``cost(level)`` is the objective of an ambient truncation split
-    at that level and ``top`` the largest modulus (or singular value) of the
-    target.
+    ``values`` are the moduli (``weight`` 1/N) or the singular values
+    (``weight`` 1) of the target, and 1 < p0 < p1 < inf.  Clipping them at
+    level lam costs ``||v - min(v, lam)||_p0 + t*||min(v, lam)||_p1`` under
+    the measure ``weight``.  Golden-section search on log(level) over
+    [1e-12*top, top], top the largest value; the ends 0 and ``top`` are
+    candidates too, and among equal costs the smallest level wins.
     """
+
+    def cost(lam: float) -> float:
+        flat = np.minimum(values, lam)
+        c0 = (weight * np.sum((values - flat) ** p0)) ** (1.0 / p0)
+        c1 = (weight * np.sum(flat**p1)) ** (1.0 / p1)
+        return float(c0 + t * c1)
+
+    top = float(values.max())
     if top == 0.0:
         return 0.0, cost(0.0)
     a, b = np.log(1e-12 * top), np.log(top)

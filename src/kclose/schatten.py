@@ -29,7 +29,7 @@ from . import circle
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
-    _payload_array,
+    _square_array,
     best_truncation_level,
     kt_bruteforce,
     kt_closed_form,
@@ -106,7 +106,7 @@ class MatrixOperator:
 
 def singular_values(x) -> np.ndarray:
     """Singular values, non-increasing."""
-    return np.linalg.svd(_payload_array(x), compute_uv=False)
+    return np.linalg.svd(_square_array(x), compute_uv=False)
 
 
 def schatten_norm(x, p: float) -> float:
@@ -121,13 +121,13 @@ def schatten_norm(x, p: float) -> float:
 
 def triangular_part(x):
     """Orthogonal (trace-inner-product) projection onto upper triangular."""
-    out = np.triu(_payload_array(x))
+    out = np.triu(_square_array(x))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
 
 
 def diagonal_part(x):
     """Keep the diagonal only."""
-    m = _payload_array(x)
+    m = _square_array(x)
     out = np.diag(np.diag(m))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
 
@@ -181,8 +181,7 @@ def triangular_factor(x, p: float, r: float, q: float) -> TriangularFactorizatio
     Both give ||a||_r ||b||_q = ||x||_p exactly: the factor moduli are
     |x|^{p/r} and |x|^{p/q} up to unitary similarity.
     """
-    m = _payload_array(x)
-    n = m.shape[0]
+    m = _square_array(x)
     _check_triangular(m, "triangular_factor input")
     s = np.linalg.svd(m, compute_uv=False)
     if s.size and s[-1] <= 1e-10 * s[0]:
@@ -222,32 +221,12 @@ def kt_schatten(x, p0: float, p1: float, t: float, tol: float = 1e-9) -> float:
 # triangular base-case splits and the squaring decomposition
 
 
-def _sv_truncation_split(m: np.ndarray, lam: float):
-    """Split m at singular-value level lam: (tail above lam, clipped part)."""
-    u, s, vh = np.linalg.svd(m)
-    flat = (u * np.minimum(s, lam)) @ vh
-    return m - flat, flat
-
-
-def _best_sv_level(m: np.ndarray, p0: float, p1: float, t: float):
-    """Best ambient Schatten truncation level of m and its split cost."""
-    _, s, _ = np.linalg.svd(m)
-
-    def parts_cost(lam: float) -> float:
-        s1 = np.minimum(s, lam)
-        s0 = s - s1
-        c0 = s0.max() if p0 == np.inf else np.sum(s0**p0) ** (1.0 / p0)
-        c1 = s1.max() if p1 == np.inf else np.sum(s1**p1) ** (1.0 / p1)
-        return float(c0 + t * c1)
-
-    return best_truncation_level(parts_cost, float(s[0]))
-
-
 def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float):
-    """Project the best ambient truncation split onto the triangular algebra."""
-    lam, ambient = _best_sv_level(m, p0, p1, t)
-    tall, _ = _sv_truncation_split(m, lam)
-    a0 = np.triu(tall)
+    """Project the best ambient truncation split onto the triangular algebra:
+    clip the singular values of m at the best level, keep the part above."""
+    u, s, vh = np.linalg.svd(m)
+    lam, ambient = best_truncation_level(s, 1.0, p0, p1, t)
+    a0 = np.triu(m - (u * np.minimum(s, lam)) @ vh)
     return a0, m - a0, {"level": lam, "ambient_cost": ambient}
 
 
@@ -267,19 +246,18 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
         raise ValueError(f"q must lie strictly inside (1, inf), got {q}")
     if t <= 0:
         raise ValueError("t must be positive")
-    m = _payload_array(x)
+    m = _square_array(x)
     n = m.shape[0]
     couple = CoupleId("triangular", 1, q)
     if not np.any(m):
         z = np.zeros_like(m)
         return make_decomposition(couple, t, x, z, z.copy())
     _check_triangular(m, "decompose_t1_tq input")
-    smax = float(np.abs(m).max())
     if eps_reg is None:
         eps_reg = 1e-8 * schatten_norm(m, np.inf)
+    absx = _herm_power(m.conj().T @ m, 0.5)
 
     def run(eps: float):
-        absx = _herm_power(m.conj().T @ m, 0.5)
         b = scipy.linalg.cholesky(absx + eps * np.eye(n), lower=False)
         a = scipy.linalg.solve_triangular(b.T, m.T, lower=True).T
         a0, a1, ameta = _triangular_base_split(a, 2.0, 2.0 * q, np.sqrt(t))
@@ -287,7 +265,7 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
         main0, main1 = a0 @ b0, a1 @ b1
         cross = a0 @ b1 + a1 @ b0
         p = 1.0 / (0.5 + 0.5 / q)
-        c0, c1, cmeta = _triangular_base_split(cross, (1.0 + p) / 2.0, q, t)
+        c0, _, cmeta = _triangular_base_split(cross, (1.0 + p) / 2.0, q, t)
         x0 = main0 + c0
         x1 = m - x0
         cost = schatten_norm(x0, 1.0) + t * schatten_norm(x1, q)
@@ -319,7 +297,7 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
 
 def dist_triangular_inf(x) -> float:
     """Operator-norm distance to upper triangular: the largest corner block."""
-    m = _payload_array(x)
+    m = _square_array(x)
     n = m.shape[0]
     best = 0.0
     for k in range(1, n):
@@ -330,7 +308,7 @@ def dist_triangular_inf(x) -> float:
 
 def dist_triangular_inf_oracle(x, tol: float = 1e-8, max_iter: int = 400_000):
     """Convex-program distance in the operator norm, with certificate."""
-    m = _payload_array(x)
+    m = _square_array(x)
     n = m.shape[0]
     cert = solve_distance(
         m.ravel(), SchattenNorm(np.inf, n), TriangularMask(n), tol=tol, max_iter=max_iter
@@ -340,7 +318,7 @@ def dist_triangular_inf_oracle(x, tol: float = 1e-8, max_iter: int = 400_000):
 
 def dist_triangular_1(x, tol: float = 1e-8, max_iter: int = 400_000):
     """Trace-norm distance to upper triangular, with dual witness."""
-    m = _payload_array(x)
+    m = _square_array(x)
     n = m.shape[0]
     cert = solve_distance(
         m.ravel(), SchattenNorm(1.0, n), TriangularMask(n), tol=tol, max_iter=max_iter
@@ -372,7 +350,7 @@ def simultaneous_triangular_approx(
     If either distance is below 1e-10 * max(1, max|x|), x is treated as
     triangular and y is its triangular part (``meta["degenerate"]``).
     """
-    m = _payload_array(x)
+    m = _square_array(x)
     n = m.shape[0]
     mask = TriangularMask(n)
     n1, ninf = SchattenNorm(1.0, n), SchattenNorm(np.inf, n)
@@ -479,18 +457,11 @@ def matrix_outer_factor(v: MatrixValuedFunction):
     """
     npts, n = v.npoints, v.matdim
     blocks = 4 * npts
-    vhat = v.coeffs()
-    freqs = circle.frequencies(npts)
-    lookup = {int(k): vhat[i] for i, k in enumerate(freqs)}
-    zero = np.zeros((n, n), dtype=np.complex128)
-
-    def coef(k: int):
-        return lookup.get(int(k), zero)
-
-    big = np.zeros((blocks * n, blocks * n), dtype=np.complex128)
-    for i in range(blocks):
-        for j in range(blocks):
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = coef(j - i)
+    # symbol[k + blocks - 1] = vhat_k for every lag k = j - i of the matrix
+    symbol = np.zeros((2 * blocks - 1, n, n), dtype=np.complex128)
+    symbol[circle.frequencies(npts) + blocks - 1] = v.coeffs()
+    lags = np.arange(blocks)[None, :] - np.arange(blocks)[:, None]
+    big = symbol[lags + blocks - 1].transpose(0, 2, 1, 3).reshape(blocks * n, blocks * n)
     low = scipy.linalg.cholesky(big, lower=True)
     last = low[(blocks - 1) * n :, :]
     fhat = np.zeros((npts, n, n), dtype=np.complex128)
@@ -501,7 +472,7 @@ def matrix_outer_factor(v: MatrixValuedFunction):
     fsam = np.fft.ifft(fhat * npts, axis=0)
     f = MatrixValuedFunction(fsam)
     prod = np.einsum("tij,tjk->tik", fsam.conj().transpose(0, 2, 1), fsam)
-    residual = float(max(np.linalg.norm(prod[i] - v.samples[i], 2) for i in range(npts)))
+    residual = float(np.linalg.norm(prod - v.samples, 2, axis=(1, 2)).max())
     return f, residual
 
 
@@ -592,7 +563,7 @@ def matrix_valued_split(
     main0 = np.einsum("tij,tjk->tik", g0, f0)
     main1 = np.einsum("tij,tjk->tik", g1, f1)
     cross = np.einsum("tij,tjk->tik", g0, f1) + np.einsum("tij,tjk->tik", g1, f0)
-    c0, c1, ccert = _mv_subspace_split(cross, 2, 2, np.inf, np.inf, t, tol, max_iter)
+    c0, _, ccert = _mv_subspace_split(cross, 2, 2, np.inf, np.inf, t, tol, max_iter)
     x0_raw = main0 + c0
     leak = MatrixValuedFunction(x0_raw)
     x0 = leak.riesz_project().samples

@@ -112,3 +112,8 @@ def test_matrix_scaling():
     r1 = kq_embed_matrix(m, 2.0, n_max=5000)
     r3 = kq_embed_matrix(3.0 * m, 2.0, n_max=5000)
     assert abs(r3.value - 3.0 * r1.value) < 1e-10 * r3.value
+
+
+def test_matrix_rejects_non_square_payload():
+    with pytest.raises(ValueError, match="square"):
+        kq_embed_matrix(CircleFunction.constant(1.0, 8), 2.0)

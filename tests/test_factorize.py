@@ -111,6 +111,11 @@ def test_outer_rejects_scalar_weight():
         outer_function(4.0)
 
 
+def test_outer_rejects_weight_that_is_not_one_dimensional():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        outer_function(np.ones((2, 4)))
+
+
 # ---------------------------------------------------------------------------
 # square-free factorization
 

@@ -42,6 +42,16 @@ def test_base_case_valid_certificates():
             assert dec.meta["ambient_cost"] <= dec.cost + 1e-12
 
 
+@pytest.mark.parametrize("p0, p1, t", [(1.5, 4.0, 0.3), (2.0, 4.0, 1.0), (1.25, 3.0, 5.0)])
+def test_base_case_ambient_cost_is_the_split_made(p0, p1, t):
+    for seed in range(3):
+        f = rand_analytic(32, 410 + seed)
+        dec = hardy.decompose_base(f, p0, p1, t)
+        tall, flat = circle.truncate_at_level(f, dec.meta["level"])
+        want = circle.lp_norm(tall, p0) + t * circle.lp_norm(flat, p1)
+        assert abs(dec.meta["ambient_cost"] - want) <= 1e-14 * want
+
+
 def test_base_case_near_ambient_single_point():
     # the general-exponent ambient program uses bisection dual projections
     # and is slow, so one certified comparison point has to carry the claim;

@@ -8,6 +8,7 @@ from kclose.circle import CircleFunction, from_coeffs
 from kclose.kfunctional import (
     CoupleId,
     ambient_k_lower,
+    best_truncation_level,
     default_t_grid,
     jt,
     k_closedness_report,
@@ -330,3 +331,23 @@ def test_interp_norm_same_for_circle_and_array_payloads():
         a = real_interp_norm(f, c, 0.5, 2.0, t_grid=grid)
         b = real_interp_norm(f.samples, c, 0.5, 2.0, t_grid=grid)
         assert np.array_equal(a.k_values, b.k_values)
+
+
+@pytest.mark.parametrize("p0, p1, t", [(1.5, 4.0, 0.3), (2.0, 4.0, 1.0), (1.25, 3.0, 5.0), (2.0, 6.0, 0.05)])
+def test_best_truncation_level_beats_a_level_grid(p0, p1, t):
+    def cost(s, lam):
+        flat = np.minimum(s, lam)
+        return np.sum((s - flat) ** p0) ** (1.0 / p0) + t * np.sum(flat**p1) ** (1.0 / p1)
+
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        s = np.linalg.svd(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), compute_uv=False)
+        lam, c = best_truncation_level(s, 1.0, p0, p1, t)
+        assert 0.0 <= lam <= s[0]
+        assert abs(c - cost(s, lam)) <= 1e-14 * c
+        grid = np.logspace(np.log10(s[0]) - 12, np.log10(s[0]), 200)
+        assert c <= min(cost(s, g) for g in grid) * (1 + 1e-12)
+
+
+def test_best_truncation_level_of_zero_values():
+    assert best_truncation_level(np.zeros(4), 0.25, 1.5, 4.0, 1.0) == (0.0, 0.0)

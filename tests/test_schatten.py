@@ -50,6 +50,17 @@ def test_matrix_operator_validation():
         x.entries[0, 0] = 5.0  # read-only view
 
 
+def test_matrix_functions_reject_non_square_payloads():
+    with pytest.raises(ValueError, match="square"):
+        triangular_part(np.ones(4))
+    with pytest.raises(ValueError, match="square"):
+        dist_triangular_inf(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        triangular_factor(np.ones(4), 1.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="square"):
+        singular_values(circle.CircleFunction.constant(1.0, 8))
+
+
 def test_matrix_json_roundtrip():
     x = rand_mat(3, 2)
     y = MatrixOperator.from_json(x.to_json())
