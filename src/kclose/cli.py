@@ -72,7 +72,11 @@ def _cmd_kfunc(args) -> int:
         x = np.ones(args.grid_n, dtype=np.complex128)
     else:
         raise _UsageError(f"--in is required for {couple.kind} couples")
-    print(repr(float(kt_bracket(x, couple, args.t, tol=args.tol)[1])))
+    lower, value = kt_bracket(x, couple, args.t, tol=args.tol)
+    print(repr(float(value)))
+    if value - lower > args.tol * value:
+        print("warning: certified bracket [lower, value] is wider than --tol relative to the "
+              f"value: [{lower:.6g}, {value:.6g}]", file=sys.stderr)
     return 0
 
 

@@ -451,21 +451,33 @@ def matrix_outer_factor(v: MatrixValuedFunction):
     Toeplitz-Cholesky (Bauer) construction: Cholesky the block-Toeplitz
     matrix [vhat_{j-i}] of 4 * npoints blocks and read the stabilized last
     block row as the moving-average coefficients; their adjoints are the
-    Fourier coefficients of F.
+    Fourier coefficients of F.  The Nyquist coefficient vhat_{-npoints/2}
+    is split evenly between lags -npoints/2 and +npoints/2, so the symbol
+    equals v on the grid.
     Returns (F, residual) where residual is the sup over the grid of the
-    operator-norm error of F*F against v.
+    operator-norm error of F*F against v.  Raises ValueError when the
+    block-Toeplitz matrix is not positive definite.
     """
     npts, n = v.npoints, v.matdim
     blocks = 4 * npts
+    half = npts // 2
     # symbol[k + blocks - 1] = vhat_k for every lag k = j - i of the matrix
     symbol = np.zeros((2 * blocks - 1, n, n), dtype=np.complex128)
     symbol[circle.frequencies(npts) + blocks - 1] = v.coeffs()
+    nyquist = 0.5 * symbol[blocks - 1 - half]
+    symbol[blocks - 1 - half] = nyquist
+    symbol[blocks - 1 + half] = nyquist.conj().T
     lags = np.arange(blocks)[None, :] - np.arange(blocks)[:, None]
     big = symbol[lags + blocks - 1].transpose(0, 2, 1, 3).reshape(blocks * n, blocks * n)
-    low = scipy.linalg.cholesky(big, lower=True)
+    try:
+        low = scipy.linalg.cholesky(big, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "matrix_outer_factor: the block-Toeplitz symbol is not positive definite; "
+            "the trigonometric interpolant of v dips below zero between grid points"
+        ) from exc
     last = low[(blocks - 1) * n :, :]
     fhat = np.zeros((npts, n, n), dtype=np.complex128)
-    half = npts // 2
     for k in range(half):
         a_k = last[:, (blocks - 1 - k) * n : (blocks - k) * n]
         fhat[k] = a_k.conj().T

@@ -49,19 +49,10 @@ __all__ = [
     "TriangularMask",
     "SplitProgram",
     "SolverCertificate",
-    "SolverError",
     "solve_split",
     "solve_distance",
     "solve_minmax_distance",
 ]
-
-
-class SolverError(RuntimeError):
-    """Raised when the l^p-ball projection's multiplier search diverges.
-
-    The programs never raise on an iteration limit: they return their last
-    certificate with ``converged=False``.
-    """
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -91,41 +82,96 @@ def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
     return np.maximum(m - theta, 0.0)
 
 
+def _lp_norm(v: np.ndarray, p: float) -> float:
+    """||v||_p of a nonnegative vector, scaled by its maximum against overflow."""
+    top = float(v.max(initial=0.0))
+    return top * float(((v / top) ** p).sum()) ** (1.0 / p) if top > 0 else 0.0
+
+
+# step caps of the multiplier and root loops below: the step counts of the
+# nested bisection they replaced, so that no input costs more than it did
+_MULTIPLIER_STEPS, _ROOT_STEPS = 80, 70
+
+
+def _lp_kkt_root(m: np.ndarray, p: float, a: float) -> np.ndarray:
+    """Root z in (0, m] of z + a*z^(p-1) = m, elementwise, for m > 0, a > 0.
+
+    Newton's method from the right on a convex increasing residual moves
+    monotonically down to the root and never overshoots.  The residual is
+    convex in z for p >= 2 and in w = z^(p-1) for p < 2, where it reads
+    w^(1/(p-1)) + a*w = m.  The start min(m, (m/a)^(1/(p-1))), the root of
+    either term alone, lies right of the root (it is formed in logarithms,
+    which cannot overflow).
+    """
+    lm = np.log(m)
+    z = np.exp(np.minimum(lm, (lm - np.log(a)) / (p - 1.0)))
+    if p < 2:
+        k = 1.0 / (p - 1.0)
+        w = z ** (p - 1.0)
+        for _ in range(_ROOT_STEPS):
+            wk = w ** (k - 1.0)
+            step = (wk * w + a * w - m) / (k * wk + a)
+            w = w - step
+            if np.all(np.abs(step) <= 1e-12 * w):
+                break
+        return w**k
+    for _ in range(_ROOT_STEPS):
+        zk = z ** (p - 2.0)
+        step = (z + a * zk * z - m) / (1.0 + a * (p - 1.0) * zk)
+        z = z - step
+        if np.all(np.abs(step) <= 1e-12 * z):
+            break
+    return z
+
+
 def _project_lp_ball(m: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Projection of a nonnegative vector onto {||.||_p <= radius}, 1<p<inf.
 
-    Solved through the KKT system z + mu*p*z^(p-1) = m with a bisection on
-    the multiplier mu; each inner solve is a vectorised bisection in z.
-    Accurate to ~1e-12 on desk-scale inputs, which is all we need.
+    The projection is positively homogeneous, so it is solved for u = m /
+    radius and the unit ball.  Outside the ball the KKT system is
+    z + mu*p*z^(p-1) = u with ||z||_p = 1.  Since mu*p*z^(p-1) = u - z
+    with 0 <= z <= u and ||z^(p-1)||_q = 1 (q = p/(p-1)), the multiplier
+    lies in the closed bracket [0, ||u||_q / p].  A Newton iteration on
+    g(mu) = ||z(mu)||_p^(1-p) - 1, which is nearly linear in mu, starts at
+    the bracket's upper end and bisects whenever a step would leave the
+    shrinking bracket.  Its derivative comes from the implicit
+    dz/dmu = -p*z / (z^(2-p) + mu*p*(p-1)), which stays finite as z -> 0.
+    Each z(mu) is a monotone Newton solve, on coordinates with u_i > 0 only.
+    The result is scaled onto the unit sphere, so it is feasible up to
+    rounding whatever the accuracy of the multiplier.
     """
     if radius <= 0:
         return np.zeros_like(m)
-    if (m**p).sum() <= radius**p:
+    u = m / radius
+    if _lp_norm(u, p) <= 1.0:
         return m.copy()
-
-    def z_of(mu):
-        lo = np.zeros_like(m)
-        hi = m.copy()
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            val = mid + mu * p * np.power(mid, p - 1.0, where=mid > 0, out=np.zeros_like(mid)) - m
-            take_hi = val > 0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        return 0.5 * (lo + hi)
-
-    mu_lo, mu_hi = 0.0, 1.0
-    while (z_of(mu_hi) ** p).sum() > radius**p:
-        mu_hi *= 2.0
-        if mu_hi > 1e18:  # pragma: no cover - would need absurd data
-            raise SolverError("lp ball projection multiplier search diverged")
-    for _ in range(80):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if (z_of(mu) ** p).sum() > radius**p:
-            mu_lo = mu
+    pos = u > 0
+    u = u[pos]
+    lo, hi = 0.0, _lp_norm(u, p / (p - 1.0)) / p
+    mu = hi
+    for _ in range(_MULTIPLIER_STEPS):
+        a = mu * p
+        z = _lp_kkt_root(u, p, a)
+        zp = z**p
+        s = zp.sum()
+        scale = s ** ((1.0 - p) / p)
+        g = scale - 1.0
+        if g == 0:
+            break
+        if g > 0:
+            hi = mu
         else:
-            mu_hi = mu
-    return z_of(mu_hi)
+            lo = mu
+        slope = (p - 1.0) * p * scale * (zp / (z ** (2.0 - p) + a * (p - 1.0))).sum() / s
+        new = mu - g / slope if slope > 0 else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - mu) <= 1e-14 * mu:
+            break
+        mu = new
+    out = np.zeros_like(m)
+    out[pos] = radius * z * s ** (-1.0 / p)
+    return out
 
 
 class VectorNorm:

@@ -1,6 +1,7 @@
 """Command-line interface: contracts on output, files, and exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ def test_kfunc_malformed_field_is_named(tmp_path, capsys):
     assert main(["kfunc", "--couple", "seq1,seq2", "--t", "0.5", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'re'" in err
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-30])
+def test_kfunc_wide_bracket_warns(tmp_path, capsys, t):
+    # at tiny t the gap test gap <= tol * max(1, primal) is absolute, so the
+    # solve stops with a bracket far wider than tol relative to K_t
+    start = time.perf_counter()
+    assert main(["kfunc", "--couple", "seq1,seq1.5", "--t", str(t), "--in", write_array8(tmp_path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert float(captured.out) > 0.0
+    assert captured.err.startswith("warning: certified bracket")
+    assert "Traceback" not in captured.err
+
+
+def test_kfunc_converged_solve_does_not_warn(tmp_path, capsys):
+    assert main(["kfunc", "--couple", "seq1,seq1.5", "--t", "3", "--in", write_array8(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert float(captured.out) > 1.0
+    assert captured.err == ""
 
 
 def test_factor_sqrt_monomial(tmp_path, capsys):

@@ -133,20 +133,19 @@ def test_k_monotone_concave_and_bounded():
 
 
 def test_k_below_min_below_j():
-    # general exponents exercise the bisection dual-ball projections, which
-    # are slow; one t at modest tolerance keeps the property covered
+    # general exponents exercise the l^p dual-ball projections
     couple = CoupleId.parse("seq2,seq4")
     rng = np.random.default_rng(31)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    t = 0.8
-    res = kt_bruteforce(x, couple, t, tol=1e-4)
-    j = jt(x, couple, t)
     n0 = np.sum(np.abs(x) ** 2) ** 0.5
     n1 = np.sum(np.abs(x) ** 4) ** 0.25
-    cap = min(n0, t * n1)
-    assert res.lower <= cap + 1e-12  # the certified bound respects K <= min
-    assert res.value <= cap + 1e-3 * max(1.0, cap)  # primal within solver slack
-    assert cap <= j + 1e-12
+    for t in (0.2, 0.8, 3.0):
+        res = kt_bruteforce(x, couple, t, tol=1e-7)
+        j = jt(x, couple, t)
+        cap = min(n0, t * n1)
+        assert res.lower <= cap + 1e-12  # the certified bound respects K <= min
+        assert res.value <= cap + 1e-6 * max(1.0, cap)  # primal within solver slack
+        assert cap <= j + 1e-12
     # the cheap pair keeps several t values honest
     cheap = CoupleId.parse("seq1,seq2")
     for tt in (0.3, 1.0, 4.0):

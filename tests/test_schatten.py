@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kclose import circle, schatten
+from kclose import circle, harness, schatten
 from kclose.kfunctional import CoupleId, kt_bruteforce, kt_closed_form
 from kclose.schatten import (
     MatrixOperator,
@@ -352,6 +352,28 @@ def test_matrix_outer_reports_honest_residual():
         np.linalg.norm(fac.samples[i].conj().T @ fac.samples[i] - v_sam[i], 2) for i in range(n)
     )
     assert abs(check - residual) < 1e-9 + 0.01 * residual
+
+
+def split_weight(seed, idx):
+    """V = |f| + 1e-6 I, as matrix_valued_split forms it, for one suite input."""
+    f = harness.generate_instance("matrix_valued_poly", harness.ExperimentConfig(seed=seed, grid_n=16), idx)
+    absf = np.stack([schatten._herm_power(m.conj().T @ m, 0.5) for m in f.samples])
+    return MatrixValuedFunction(absf + 1e-6 * np.eye(f.matdim))
+
+
+@pytest.mark.parametrize("seed, idx", [(36, 30), (124, 24)])
+def test_matrix_outer_counts_nyquist_once(seed, idx):
+    # these block-Toeplitz matrices are positive definite only when the
+    # Nyquist coefficient vhat_-8 is split between lags -8 and +8
+    v = split_weight(seed, idx)
+    fac, residual = matrix_outer_factor(v)
+    assert np.all(np.isfinite(fac.samples))
+    assert residual < 0.05 * np.abs(v.samples).max()
+
+
+def test_matrix_outer_rejects_symbol_below_zero():
+    with pytest.raises(ValueError, match="dips below zero between grid points"):
+        matrix_outer_factor(split_weight(11, 2))
 
 
 def test_matrix_valued_split_certificates():

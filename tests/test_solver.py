@@ -13,6 +13,7 @@ from kclose.solver import (
     SplitProgram,
     TriangularMask,
     VectorNorm,
+    _project_lp_ball,
     solve_distance,
     solve_minmax_distance,
     solve_split,
@@ -92,6 +93,74 @@ def test_prox_is_moreau_complement():
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         lam = 0.7
         assert np.abs(nrm.prox(v, lam) + nrm.project_dual_ball(v, lam) - v).max() < 1e-12
+
+
+def bisection_lp_ball(m, p, radius):
+    """Nested bisection projection onto {||.||_p <= radius}: the reference.
+
+    An 80-step bisection on the KKT multiplier mu of z + mu*p*z^(p-1) = m,
+    each step a 70-step bisection in z; None where the doubling search for
+    the upper end of mu runs past 1e18.
+    """
+    def z_of(mu):
+        lo, hi = np.zeros_like(m), m.copy()
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            val = mid + mu * p * np.power(mid, p - 1.0, where=mid > 0, out=np.zeros_like(mid)) - m
+            hi, lo = np.where(val > 0, mid, hi), np.where(val > 0, lo, mid)
+        return 0.5 * (lo + hi)
+
+    mu_lo, mu_hi = 0.0, 1.0
+    while (z_of(mu_hi) ** p).sum() > radius**p:
+        mu_hi *= 2.0
+        if mu_hi > 1e18:
+            return None
+    for _ in range(80):
+        mu = 0.5 * (mu_lo + mu_hi)
+        if (z_of(mu) ** p).sum() > radius**p:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+    return z_of(mu_hi)
+
+
+LP_BALL_PS = [1.1, 4 / 3, 1.5, 2.5, 3.0, 6.0]
+
+
+@pytest.mark.parametrize("p", LP_BALL_PS)
+def test_lp_ball_projection_matches_bisection(p):
+    rng = np.random.default_rng(int(100 * p))
+    compared = 0
+    for frac in (1e-3, 0.3, 0.9, 0.999999):
+        m = np.abs(rng.standard_normal(16)) * np.exp(rng.uniform(-3, 3))
+        m[rng.random(16) < 0.25] = 0.0  # zero moduli keep a zero projection
+        radius = frac * (m**p).sum() ** (1 / p)
+        z = _project_lp_ball(m, p, radius)
+        assert (z**p).sum() ** (1 / p) <= radius * (1 + 1e-12)
+        assert np.all(z[m == 0] == 0.0)
+        ref = bisection_lp_ball(m, p, radius)
+        if ref is not None:
+            assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
+            compared += 1
+    assert compared >= 3
+
+
+@pytest.mark.parametrize("p", [4 / 3, 3.0, 6.0])
+@pytest.mark.parametrize("frac", [1e-30, 1e-120])
+def test_lp_ball_projection_tiny_radius(p, frac):
+    # far below the bisection's reach: its multiplier search gave up at 1e18;
+    # at 1e-120, ||m / radius||_q overflows unless it is formed scaled
+    m = np.abs(np.random.default_rng(5).standard_normal(16))
+    radius = frac * (m**p).sum() ** (1 / p)
+    z = _project_lp_ball(m, p, radius)
+    assert np.all(np.isfinite(z)) and np.all(z >= 0)
+    assert ((z / radius) ** p).sum() ** (1 / p) <= 1 + 1e-12
+
+
+def test_lp_ball_projection_keeps_inner_points():
+    m = np.array([0.3, 0.0, 0.4])
+    assert np.array_equal(_project_lp_ball(m, 1.5, 1.0), m)
+    assert np.array_equal(_project_lp_ball(m, 1.5, 0.0), np.zeros(3))
 
 
 def test_soft_threshold_frozen():
