@@ -488,6 +488,24 @@ def matrix_outer_factor(v: MatrixValuedFunction):
     return f, residual
 
 
+def _interpolant_dip(v: np.ndarray) -> float:
+    """-min(0, smallest eigenvalue) of the trigonometric interpolant of v.
+
+    v is an (npoints, n, n) hermitian grid function; the interpolant is
+    sampled on a grid 64 times finer, with the Nyquist coefficient split
+    evenly between -npoints/2 and +npoints/2 as in :func:`matrix_outer_factor`.
+    """
+    npts = v.shape[0]
+    half, fine = npts // 2, 64 * npts
+    co = np.fft.fft(v, axis=0) / npts
+    c = np.zeros((fine,) + v.shape[1:], dtype=np.complex128)
+    c[circle.frequencies(npts)] = co
+    c[-half] = 0.5 * co[half]
+    c[half] = c[-half].conj().T
+    lam = np.linalg.eigvalsh(np.fft.ifft(c * fine, axis=0))
+    return max(0.0, -float(lam.min()))
+
+
 @dataclass
 class MatrixValuedDecomposition:
     """Two-part split of a matrix-valued grid function with mixed norms."""
@@ -539,11 +557,14 @@ def matrix_valued_split(
 ) -> MatrixValuedDecomposition:
     """Squaring split of an analytic matrix-valued f for a mixed-norm couple.
 
-    V = |f| + eps*I, eps = 1e-6, factors as F*F with F analytic; G = f F^{-1}
+    V = |f| + eps*I factors as F*F with F analytic; G = f F^{-1}
     is the other square-root-sized half.  F and G split at sqrt(t) in the
     doubled couple (2p0', 2q0') = (2, 2)-type mixed norms via the convex
     solver, the four products recombine, and the result is re-projected so
-    membership and reconstruction are exact.
+    membership and reconstruction are exact.  eps is 1e-6, or 1.01 times the
+    dip of |f|'s trigonometric interpolant below zero where that is larger:
+    the Toeplitz-Cholesky outer factor needs the interpolant positive
+    between the grid points too.
     """
     if f.matdim > 8 or f.npoints > 32:
         raise ValueError("matrix-valued splits support matdim <= 8 and npoints <= 32")
@@ -564,7 +585,7 @@ def matrix_valued_split(
     if res > 1e-6 * np.abs(sam).max():
         raise ValueError(f"matrix_valued_split expects analytic input (residual {res:.2e})")
     absf = np.stack([_herm_power(sam[i].conj().T @ sam[i], 0.5) for i in range(npts)])
-    eps = 1e-6
+    eps = max(1e-6, 1.01 * _interpolant_dip(absf))
     v = MatrixValuedFunction(absf + eps * np.eye(n))
     bigf, fac_residual = matrix_outer_factor(v)
     # G = f F^{-1} pointwise, so G F = f; solve F^T G^T = f^T per grid point

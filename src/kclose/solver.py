@@ -33,6 +33,12 @@ exactly feasible dual point (iterates are projected onto the dual constraint
 set and scaled into the balls), so ``primal - dual`` is a true optimality
 gap whatever the iteration count.  A run that stops at ``max_iter`` returns
 its last certificate with ``converged=False``.
+
+The norms are the weighted l^p norm ``VectorNorm`` and two that delegate to
+it: ``SchattenNorm`` on one matrix's singular values, ``MixedNorm`` (L^p(C_p),
+p in {1, 2, inf}) on a grid of matrices.  Each gives its value, dual value and
+dual-ball projection; the min-max program also needs the epigraph-cone
+projection, which ``VectorNorm`` and ``SchattenNorm`` give for p in {1, inf}.
 """
 
 from __future__ import annotations
@@ -62,9 +68,7 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def _moduli_phases(v: np.ndarray):
     m = np.abs(v)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ph = np.where(m > 0, v / np.where(m > 0, m, 1.0), 1.0)
-    return m, ph
+    return m, np.divide(v, m, out=np.ones_like(v), where=m > 0)
 
 
 def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
@@ -181,8 +185,6 @@ class VectorNorm:
     1 for counting measure).  The weight is ignored at p = inf.
     """
 
-    kind = "vector"
-
     def __init__(self, p: float, weight: float = 1.0):
         if p != np.inf and p < 1:
             raise ValueError(f"exponent must be >= 1, got {p}")
@@ -223,10 +225,6 @@ class VectorNorm:
         cap = radius * self.weight ** (1.0 / self.p)
         return ph * _project_lp_ball(m, q, cap)
 
-    def prox(self, v: np.ndarray, lam: float) -> np.ndarray:
-        """prox of lam * value at v (Moreau, via the dual ball)."""
-        return v - self.project_dual_ball(v, lam)
-
     def cone_project(self, w: np.ndarray, h: float):
         """Projection onto the cone {(v, s): value(v) <= s}."""
         if self.value(w) <= h:
@@ -234,11 +232,6 @@ class VectorNorm:
         if self.dual_value(w) <= -h:
             return np.zeros_like(w), 0.0
         m, ph = _moduli_phases(w)
-        if self.p == 2:
-            c = np.sqrt(self.weight)
-            beta = np.sqrt((m**2).sum())
-            rho = (beta + c * h) / (1.0 + c * c)
-            return w * (rho / beta), float(c * rho)
         if self.p == np.inf:
             # minimise sum (m_i - s)_+^2 + (s - h)^2 piecewise over s
             u = np.sort(m)[::-1]
@@ -279,8 +272,6 @@ class VectorNorm:
 class SchattenNorm:
     """Schatten p-norm of an n x n matrix stored as a flat complex array."""
 
-    kind = "schatten"
-
     def __init__(self, p: float, n: int):
         self.p = float(p)
         self.n = int(n)
@@ -302,9 +293,6 @@ class SchattenNorm:
         s2 = np.real(self._vec.project_dual_ball(s.astype(complex), radius))
         return ((u * s2) @ vh).ravel()
 
-    def prox(self, v: np.ndarray, lam: float) -> np.ndarray:
-        return v - self.project_dual_ball(v, lam)
-
     def cone_project(self, w: np.ndarray, h: float):
         u, s, vh = self._svd(w)
         s2, hh = self._vec.cone_project(s.astype(complex), h)
@@ -312,91 +300,42 @@ class SchattenNorm:
 
 
 class MixedNorm:
-    """L^p(C_q) norm of a matrix-valued grid function, flattened.
+    """L^p(C_p) norm, p in {1, 2, inf}, of a matrix-valued grid function.
 
-    The variable is an (npoints, n, n) complex array stored flat; the value
-    is the outer-p norm, weight 1/npoints per grid point, of the inner
-    Schatten-q norms.  Implemented exponent pairs (p, q): (1,1), (1,2),
-    (1,inf), (2,2), (inf,2), (inf,inf) -- all the doubled and endpoint
-    couples the decompositions here need.  Use a plain :class:`VectorNorm` when n == 1.
+    The variable is an (npoints, n, n) complex array stored flat.  The norm
+    is ``VectorNorm(p, 1/npoints)`` of all the singular values on the grid,
+    or at p = 2 of the flat entries: there it is the Frobenius norm and needs
+    no SVD.  ``q`` must equal ``p``.  Use a plain :class:`VectorNorm` when n == 1.
     """
 
-    kind = "mixed"
-    _pairs = {(1.0, 1.0), (1.0, 2.0), (1.0, np.inf), (2.0, 2.0), (np.inf, 2.0), (np.inf, np.inf)}
-
     def __init__(self, p: float, q: float, npoints: int, n: int):
-        if (float(p), float(q)) not in self._pairs:
+        if float(p) != float(q) or float(p) not in (1.0, 2.0, np.inf):
             raise NotImplementedError(
                 f"mixed norm L^{p}(C_{q}) has no projection rule here; "
-                "supported pairs: (1,1),(1,2),(1,inf),(2,2),(inf,2),(inf,inf)"
+                "supported pairs: (1,1),(2,2),(inf,inf)"
             )
-        self.p, self.q = float(p), float(q)
+        self.p = float(p)
         self.npoints, self.n = int(npoints), int(n)
-        self.weight = 1.0 / self.npoints
+        self._vec = VectorNorm(p, 1.0 / self.npoints)
 
-    def _mats(self, v):
-        return v.reshape(self.npoints, self.n, self.n)
+    def _spectrum(self, v: np.ndarray) -> np.ndarray:
+        """The flat entries at p = 2, else the stacked singular values."""
+        if self.p == 2:
+            return v
+        return np.linalg.svd(v.reshape(self.npoints, self.n, self.n), compute_uv=False).ravel()
 
     def value(self, v: np.ndarray) -> float:
-        s = np.linalg.svd(self._mats(v), compute_uv=False)  # (npoints, n)
-        if self.q == 1:
-            inner = s.sum(axis=1)
-        elif self.q == 2:
-            inner = np.sqrt((s**2).sum(axis=1))
-        else:
-            inner = s[:, 0]
-        if self.p == 1:
-            return float(self.weight * inner.sum())
-        if self.p == 2:
-            return float(np.sqrt(self.weight * (inner**2).sum()))
-        return float(inner.max())
+        return self._vec.value(self._spectrum(v))
 
     def dual_value(self, y: np.ndarray) -> float:
-        s = np.linalg.svd(self._mats(y), compute_uv=False)
-        w = self.weight
-        if (self.p, self.q) == (1.0, 1.0):
-            return float(s.max() / w)
-        if (self.p, self.q) == (1.0, 2.0):
-            return float(np.sqrt((s**2).sum(axis=1)).max() / w)
-        if (self.p, self.q) == (1.0, np.inf):
-            return float(s.sum(axis=1).max() / w)
-        if (self.p, self.q) == (2.0, 2.0):
-            return float(np.sqrt((s**2).sum() / w))
-        if (self.p, self.q) == (np.inf, 2.0):
-            return float(np.sqrt((s**2).sum(axis=1)).sum())
-        return float(s.sum())
+        return self._vec.dual_value(self._spectrum(y))
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
-        mats = self._mats(y)
-        u, s, vh = np.linalg.svd(mats)
-        w = self.weight
-        if (self.p, self.q) == (1.0, 1.0):
-            s2 = np.minimum(s, radius * w)
-        elif (self.p, self.q) == (1.0, 2.0):
-            rn = np.sqrt((s**2).sum(axis=1, keepdims=True))
-            scale = np.minimum(1.0, radius * w / np.maximum(rn, 1e-300))
-            s2 = s * scale
-        elif (self.p, self.q) == (1.0, np.inf):
-            s2 = np.vstack([_project_l1_ball(row, radius * w) for row in s])
-        elif (self.p, self.q) == (2.0, 2.0):
-            nrm = np.sqrt((s**2).sum())
-            cap = radius * np.sqrt(w)
-            s2 = s if nrm <= cap else s * (cap / nrm)
-        elif (self.p, self.q) == (np.inf, 2.0):
-            rn = np.sqrt((s**2).sum(axis=1))
-            rn2 = _project_l1_ball(rn, radius)
-            scale = np.where(rn > 0, rn2 / np.maximum(rn, 1e-300), 0.0)
-            s2 = s * scale[:, None]
-        else:  # (inf, inf): joint l1 ball on all singular values
-            flat = _project_l1_ball(s.ravel(), radius)
-            s2 = flat.reshape(s.shape)
-        return (np.einsum("tij,tj,tjk->tik", u, s2, vh)).ravel()
-
-    def prox(self, v: np.ndarray, lam: float) -> np.ndarray:
-        return v - self.project_dual_ball(v, lam)
-
-    def cone_project(self, w, h):  # pragma: no cover - guarded by callers
-        raise NotImplementedError("mixed norms are not used in min-max programs")
+        if self.p == 2:
+            return self._vec.project_dual_ball(y, radius)
+        u, s, vh = np.linalg.svd(y.reshape(self.npoints, self.n, self.n))
+        s2 = self._vec.project_dual_ball(s.ravel(), radius).reshape(s.shape)
+        return np.einsum("tij,tj,tjk->tik", u, s2, vh).ravel()
 
 
 class AnalyticMask:
@@ -473,7 +412,6 @@ class SolverCertificate:
     minimizer: np.ndarray | None = None
     dual_witness: dict = field(default_factory=dict)
     subspace_residual: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 RELAX = 1.85  # over-relaxation factor of every program

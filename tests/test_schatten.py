@@ -354,9 +354,14 @@ def test_matrix_outer_reports_honest_residual():
     assert abs(check - residual) < 1e-9 + 0.01 * residual
 
 
+def suite_input(seed, idx):
+    return harness.generate_instance("matrix_valued_poly", harness.ExperimentConfig(seed=seed, grid_n=16), idx)
+
+
 def split_weight(seed, idx):
-    """V = |f| + 1e-6 I, as matrix_valued_split forms it, for one suite input."""
-    f = harness.generate_instance("matrix_valued_poly", harness.ExperimentConfig(seed=seed, grid_n=16), idx)
+    """V = |f| + 1e-6 I, the weight matrix_valued_split factors unless |f|'s
+    interpolant dips below zero, for one suite input."""
+    f = suite_input(seed, idx)
     absf = np.stack([schatten._herm_power(m.conj().T @ m, 0.5) for m in f.samples])
     return MatrixValuedFunction(absf + 1e-6 * np.eye(f.matdim))
 
@@ -374,6 +379,17 @@ def test_matrix_outer_counts_nyquist_once(seed, idx):
 def test_matrix_outer_rejects_symbol_below_zero():
     with pytest.raises(ValueError, match="dips below zero between grid points"):
         matrix_outer_factor(split_weight(11, 2))
+
+
+@pytest.mark.parametrize("seed, idx", [(11, 2), (150, 19)])
+def test_matrix_valued_split_lifts_eps_over_the_dip(seed, idx):
+    # |f|'s interpolant dips below zero between grid points, so 1e-6 I is too
+    # small a shift for the outer factor; the split lifts eps over the dip
+    f = suite_input(seed, idx)
+    dec = matrix_valued_split(f, 1, 1, np.inf, np.inf, 1.0, tol=1e-6)
+    dec.validate(f)
+    assert dec.meta["eps"] > 1e-6
+    assert dec.meta["factor_residual"] < 0.01 * np.abs(f.samples).max()
 
 
 def test_matrix_valued_split_certificates():

@@ -86,15 +86,6 @@ def test_dual_ball_projection_feasible_and_closest(p, radius):
         assert np.abs(nrm.project_dual_ball(z, radius * (1 + 1e-7)) - z).max() < 1e-9
 
 
-def test_prox_is_moreau_complement():
-    rng = np.random.default_rng(21)
-    for p in PS:
-        nrm = VectorNorm(p, 1.0 / 8)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        lam = 0.7
-        assert np.abs(nrm.prox(v, lam) + nrm.project_dual_ball(v, lam) - v).max() < 1e-12
-
-
 def bisection_lp_ball(m, p, radius):
     """Nested bisection projection onto {||.||_p <= radius}: the reference.
 
@@ -164,10 +155,11 @@ def test_lp_ball_projection_keeps_inner_points():
 
 
 def test_soft_threshold_frozen():
-    # prox of lam*||.||_1 with weight 1 is soft thresholding by lam
+    # v minus its projection onto the lam-ball of the dual (Moreau) is the
+    # prox of lam*||.||_1, which at weight 1 is soft thresholding by lam
     nrm = VectorNorm(1, 1.0)
     v = np.array([3.0, -0.5, 0.2, -2.0], dtype=np.complex128)
-    got = nrm.prox(v, 1.0)
+    got = v - nrm.project_dual_ball(v, 1.0)
     assert np.abs(got - np.array([2.0, 0.0, 0.0, -1.0])).max() < 1e-14
 
 
@@ -191,7 +183,44 @@ def test_schatten_dual_ball_feasible():
         assert real_inner(y, z) >= 0.0  # projection never overshoots the origin
 
 
-MIXED_PAIRS = [(1, 1), (1, 2), (1, np.inf), (2, 2), (np.inf, 2), (np.inf, np.inf)]
+def _cone_dist(w, h, v, s):
+    return np.sqrt(np.linalg.norm(w - v) ** 2 + (h - s) ** 2)
+
+
+@pytest.mark.parametrize("p", [1.0, np.inf])
+@pytest.mark.parametrize("kind", ["vector-w1", "vector-w16", "schatten"])
+def test_cone_projection_feasible_fixed_and_closest(p, kind):
+    # the epigraph cone {(v, s): value(v) <= s} of the min-max programs
+    nrm = {"vector-w1": VectorNorm(p, 1.0), "vector-w16": VectorNorm(p, 1.0 / 16),
+           "schatten": SchattenNorm(p, 4)}[kind]
+    rng = np.random.default_rng(71)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for h_scale in (-3.0, -0.1, 0.0, 0.1, 0.5, 3.0):
+        for _ in range(4):
+            w = cplx(16)
+            h = h_scale * nrm.value(w)
+            v, s = nrm.cone_project(w, h)
+            assert nrm.value(v) <= s * (1 + 1e-12) + 1e-12
+            # points of the cone stay fixed: inner ones, and the projection itself
+            inner = 0.5 * cplx(16)
+            got = nrm.cone_project(inner, 2.0 * nrm.value(inner))
+            assert np.abs(got[0] - inner).max() < 1e-12 and got[1] == 2.0 * nrm.value(inner)
+            v2, s2 = nrm.cone_project(v, s)
+            assert np.abs(v2 - v).max() < 1e-9 and abs(s2 - s) < 1e-9 * max(1.0, s)
+            # no sampled cone point is nearer: random ones, and ones near (v, s)
+            samples = [(c, nrm.value(c) * (1.0 + abs(rng.standard_normal())))
+                       for c in (cplx(16) for _ in range(10))]
+            for scale in (1e-2, 1e-4):
+                for c in (v + scale * cplx(16) for _ in range(10)):
+                    samples.append((c, max(s + scale * rng.standard_normal(), nrm.value(c))))
+            d = _cone_dist(w, h, v, s)
+            assert all(d <= _cone_dist(w, h, c, c_s) + 1e-9 for c, c_s in samples)
+
+
+MIXED_PAIRS = [(1, 1), (2, 2), (np.inf, np.inf)]
 
 
 def mixed_oracle(sam, p, q, weight):
@@ -224,6 +253,20 @@ def test_mixed_norm_holder_and_dual_ball(pq):
         assert real_inner(v, y) <= nrm.value(v) * nrm.dual_value(y) * (1 + 1e-10) + 1e-14
         z = nrm.project_dual_ball(y, 0.6)
         assert nrm.dual_value(z) <= 0.6 * (1 + 1e-8)
+        # the nearest point of the ball, and a fixed point of the projection
+        for _ in range(20):
+            w = (rng.standard_normal((npts, n, n)) + 1j * rng.standard_normal((npts, n, n))).ravel()
+            dv = nrm.dual_value(w)
+            if dv > 0.6:
+                w = w * (0.6 / dv) * 0.999
+            assert np.linalg.norm(y - z) <= np.linalg.norm(y - w) + 1e-8
+        assert np.abs(nrm.project_dual_ball(z, 0.6 * (1 + 1e-7)) - z).max() < 1e-9
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (1, np.inf), (np.inf, 2)])
+def test_mixed_norm_rejects_unsupported_pairs(pq):
+    with pytest.raises(NotImplementedError, match="supported pairs"):
+        MixedNorm(*pq, 8, 2)
 
 
 def test_analytic_mask_is_orthogonal_projection():
@@ -398,6 +441,13 @@ def _analytic(seed, n, degree=5):
     return circle.from_coeffs(c)
 
 
+def _analytic_mv(seed, npts, n, degree=4):
+    rng = np.random.default_rng(seed)
+    c = np.zeros((npts, n, n), dtype=np.complex128)
+    c[:degree] = rng.standard_normal((degree, n, n)) + 1j * rng.standard_normal((degree, n, n))
+    return np.fft.ifft(c * npts, axis=0).ravel()
+
+
 def _kt(x, couple, t, tol):
     res = kt_bruteforce(x, CoupleId.parse(couple), t, tol=tol)
     return res.iterations, res.value, res.lower
@@ -429,6 +479,11 @@ PINNED = {
                         50, 5.024820003176317, 5.02482000317631),
     "kt_T1_Tinf_warm": (lambda: _kt(_seeded(70, (4, 4)), "T1,Tinf", 1.5, 1e-6),
                         250, 6.270591458223881, 6.270586889575666),
+    # the doubled mixed-norm couple of the matrix-valued squaring split
+    "split_mixed": (lambda: _cert(solve_split(
+        SplitProgram(_analytic_mv(71, 16, 2), MixedNorm(2, 2, 16, 2), MixedNorm(np.inf, np.inf, 16, 2),
+                     1.0, subspace=AnalyticMask(16, 2)), tol=1e-6)),
+        700, 3.8184448299697715, 3.8184422738410357),
     "distance_vector": (lambda: _cert(solve_distance(
         _seeded(65, 16), VectorNorm(1, W16), AnalyticMask(16), tol=1e-7)),
         450, 0.8749420124371567, 0.8749419379059608),
