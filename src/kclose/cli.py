@@ -9,6 +9,7 @@ between a circle function (flat list) and a matrix (nested list).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -153,14 +154,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    if args.config:
-        config = ExperimentConfig.load(args.config)
-    else:
-        config = ExperimentConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.instances is not None:
-        config.instances = args.instances
+    config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    # replace() re-runs the config's validation on the command-line overrides
+    over = {key: value for key, value in (("seed", args.seed), ("instances", args.instances)) if value is not None}
+    config = dataclasses.replace(config, **over)
     names = sorted(SUITES) if args.name == "all" else [args.name]
     worst = 0
     for name in names:

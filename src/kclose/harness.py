@@ -77,11 +77,22 @@ class ExperimentConfig:
     n_max: int = 10_000
 
     def __post_init__(self):
+        for name, low in (("seed", 0), ("grid_n", 8), ("matrix_n", 1), ("instances", 1),
+                          ("max_iter", 1), ("n_max", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         circle._check_grid_size(self.grid_n)
-        if not 1 <= self.matrix_n <= 16:
+        if self.matrix_n > 16:
             raise ValueError("matrix_n must lie in [1, 16]")
-        if self.instances < 1 or self.t_min <= 0 or self.t_max < self.t_min:
-            raise ValueError("invalid experiment configuration")
+        for name in ("tol", "t_min", "t_max", "points_per_decade", "eps_reg"):
+            value = getattr(self, name)
+            if not _finite_number(value) or value <= 0:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if self.t_max < self.t_min:
+            raise ValueError("t_max must be >= t_min")
+        if not isinstance(self.thresholds, dict) or not all(map(_finite_number, self.thresholds.values())):
+            raise ValueError("thresholds must be an object of finite numbers")
 
     def t_grid(self) -> np.ndarray:
         decades = np.log10(self.t_max / self.t_min)
@@ -106,31 +117,30 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ExperimentConfig":
-        kw = {}
-        for key in ("seed", "grid_n", "matrix_n", "instances", "n_max"):
-            if key in data:
-                kw[key] = data[key]
-        tg = data.get("t_grid", {})
-        for src, dst in (("t_min", "t_min"), ("t_max", "t_max"), ("points_per_decade", "points_per_decade")):
-            if src in tg:
-                kw[dst] = tg[src]
-        sv = data.get("solver", {})
-        if "tol" in sv:
-            kw["tol"] = sv["tol"]
-        if "max_iter" in sv:
-            kw["max_iter"] = sv["max_iter"]
-        ep = data.get("epsilon", {})
-        if "eps_reg" in ep:
-            kw["eps_reg"] = ep["eps_reg"]
-        cfg = cls(**kw)
-        cfg.thresholds.update(data.get("thresholds", {}))
-        return cfg
+    def from_json(cls, data) -> "ExperimentConfig":
+        """Config from a to_json-shaped object; a malformed one raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        kw = {key: data[key] for key in ("seed", "grid_n", "matrix_n", "instances", "n_max") if key in data}
+        for section, keys in (("t_grid", ("t_min", "t_max", "points_per_decade")),
+                              ("solver", ("tol", "max_iter")), ("epsilon", ("eps_reg",)),
+                              ("thresholds", ())):
+            body = data.get(section, {})
+            if not isinstance(body, dict):
+                raise ValueError(f"config field {section!r} must be an object")
+            kw.update((key, body[key]) for key in keys if key in body)
+        kw["thresholds"] = {**DEFAULT_THRESHOLDS, **data.get("thresholds", {})}
+        return cls(**kw)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool) \
+        and bool(np.isfinite(value))
 
 
 def _rng(config: ExperimentConfig, kind: str, index: int) -> np.random.Generator:

@@ -346,8 +346,7 @@ def kt_bruteforce(
     prog = SplitProgram(arr, n0, n1, t, subspace=mask)
     warm_primal = warm_dual = None
     if couple.p0 == 1 and couple.p1 == np.inf:
-        w0, wd = _warm_start_l1_linf(arr, n0, t)
-        warm_primal = mask.project(w0) if mask is not None else w0
+        warm_primal, wd = _warm_start_l1_linf(arr, n0, t)
         warm_dual = None if mask is not None else wd
     cert = solve_split(prog, tol=tol, max_iter=max_iter, warm_primal=warm_primal, warm_dual=warm_dual)
     dec = make_decomposition(couple, t, x, cert.x0, cert.x1, meta={

@@ -12,21 +12,22 @@ All three run on one engine, ``_primal_dual``: the over-relaxed
 primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
 
 * its primal and dual blocks -- arrays or scalars, e.g. (y, s) and the
-  polar-cone pairs (za, ra), (zb, rb) plus the subspace block z3 for the
-  min-max program;
+  polar-cone pairs (za, ra), (zb, rb) for the min-max program;
 * ``adjoint(dual)``: K^T applied to the dual blocks, one entry per primal
   block;
 * ``dual_step(dual, extrapolated_primal)``: the dual ascent step followed by
   each block's closed-form projection (dual-norm balls for norms, polar
-  cones for the epigraph constraints, none for the linear subspace
-  constraint);
+  cones for the epigraph constraints);
 * ``certificate(primal, dual, it, converged)``: the feasible primal/dual
   pair assembled from the current blocks.
 
 The engine owns the primal step, the extrapolation, the over-relaxation
 (``RELAX``), the certificate check every ``CHECK_EVERY`` iterations and the
-gap test.  Complex entries are treated as real pairs; all moduli-based
-projections preserve phases.
+gap test.  A masked subspace enters through the mask's orthogonal
+projection, the prox of its indicator: each program applies it to the
+adjoint, so a primal iterate that starts in the subspace stays there (P is
+linear) and no dual block carries the subspace constraint.  Complex entries
+are treated as real pairs; all moduli-based projections preserve phases.
 
 Certificates are honest: the reported dual value is always evaluated at an
 exactly feasible dual point (iterates are projected onto the dual constraint
@@ -290,13 +291,12 @@ class SchattenNorm:
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
         u, s, vh = self._svd(y)
-        s2 = np.real(self._vec.project_dual_ball(s.astype(complex), radius))
-        return ((u * s2) @ vh).ravel()
+        return ((u * self._vec.project_dual_ball(s, radius)) @ vh).ravel()
 
     def cone_project(self, w: np.ndarray, h: float):
         u, s, vh = self._svd(w)
-        s2, hh = self._vec.cone_project(s.astype(complex), h)
-        return ((u * np.real(s2)) @ vh).ravel(), hh
+        s2, hh = self._vec.cone_project(s, h)
+        return ((u * s2) @ vh).ravel(), hh
 
 
 class MixedNorm:
@@ -473,47 +473,39 @@ def solve_split(
     """Run the primal-dual iteration on a split program.
 
     Stops when the certified gap falls below tol * max(1, primal).  The
-    returned split is exactly feasible: x0 is the masked projection of the
-    primal iterate and x1 = target - x0.
+    starting point (``warm_primal`` or target / 2) is projected into the
+    masked subspace, where the iterates then stay.  The returned split is
+    exactly feasible: x0 is the masked projection of the primal iterate and
+    x1 = target - x0.
     """
     x = prog.target
     t = prog.t
     mask = prog.subspace
-    d = x.size
 
     if not np.any(x):
         z = np.zeros_like(x)
         return SolverCertificate(0.0, 0.0, 0.0, 0, True, x0=z, x1=z.copy())
 
     objective = prog.norm0.value(x) + t * prog.norm1.value(x)
-    sigma, tau = _step_sizes(3.0 if mask is not None else 2.0, _balance(0.5 * objective, x))
+    sigma, tau = _step_sizes(2.0, _balance(0.5 * objective, x))
 
-    if warm_primal is not None:
-        u = np.asarray(warm_primal, dtype=np.complex128).ravel().copy()
-    else:
-        u = 0.5 * (mask.project(x) if mask is not None else x.copy())
+    u = 0.5 * x if warm_primal is None else np.asarray(warm_primal, dtype=np.complex128).ravel()
+    if mask is not None:
+        u = mask.project(u)
     if warm_dual is not None:
         dual = [np.asarray(w, dtype=np.complex128).ravel().copy() for w in warm_dual[:2]]
     else:
-        dual = [np.zeros(d, dtype=np.complex128), np.zeros(d, dtype=np.complex128)]
-    if mask is not None:
-        # constraint block (I - P) u = 0: membership in the masked subspace
-        dual.append(np.zeros(d, dtype=np.complex128))
+        dual = [np.zeros_like(x), np.zeros_like(x)]
 
     def adjoint(y):
-        if mask is None:
-            return [y[0] + y[1]]
-        return [y[0] + y[1] + mask.antiproject(y[2])]
+        return [y[0] + y[1] if mask is None else mask.project(y[0] + y[1])]
 
     def dual_step(y, bar):
         (ub,) = bar
-        blocks = [
+        return [
             prog.norm0.project_dual_ball(y[0] + sigma * ub, 1.0),
             prog.norm1.project_dual_ball(y[1] + sigma * (ub - x), t),
         ]
-        if mask is not None:
-            blocks.append(y[2] + sigma * mask.antiproject(ub))
-        return blocks
 
     def certificate(primal, y, it, converged):
         (u,) = primal
@@ -521,8 +513,9 @@ def solve_split(
         x1 = x - x0
         value = prog.norm0.value(x0) + t * prog.norm1.value(x1)
         y2 = y[1]
-        z1 = -(y2 + mask.antiproject(y[2])) if mask is not None else -y2
-        a = prog.norm0.dual_value(z1)
+        # the witness pair (z0, y2) must sum into the annihilator of the subspace
+        z0 = y[0] - mask.project(y[0] + y2) if mask is not None else -y2
+        a = prog.norm0.dual_value(z0)
         b = prog.norm1.dual_value(y2)
         s_candidates = []
         if a > 0:
@@ -540,7 +533,7 @@ def solve_split(
             converged=converged,
             x0=x0,
             x1=x1,
-            dual_witness={"z0": s * z1, "z1": s * y2},
+            dual_witness={"z0": s * z0, "z1": s * y2},
             subspace_residual=sub_res,
         )
 
@@ -560,18 +553,14 @@ def solve_distance(
     norm at most one, so Re<x, z> is a true lower bound on the distance.
     """
     x = np.asarray(target, dtype=np.complex128).ravel()
-    d = x.size
-    sigma, tau = _step_sizes(2.0, _balance(norm.value(x), x))
+    sigma, tau = _step_sizes(1.0, _balance(norm.value(x), x))
 
     def adjoint(y):
-        return [-y[0] + subspace.antiproject(y[1])]
+        return [-subspace.project(y[0])]
 
     def dual_step(y, bar):
         (ub,) = bar
-        return [
-            norm.project_dual_ball(y[0] + sigma * (x - ub), 1.0),
-            y[1] + sigma * subspace.antiproject(ub),
-        ]
+        return [norm.project_dual_ball(y[0] + sigma * (x - ub), 1.0)]
 
     def certificate(primal, y, it, converged):
         (u,) = primal
@@ -594,8 +583,8 @@ def solve_distance(
             subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
         )
 
-    zeros = [np.zeros(d, dtype=np.complex128), np.zeros(d, dtype=np.complex128)]
-    return _primal_dual([subspace.project(x)], zeros, tau, adjoint, dual_step, certificate, tol, max_iter)
+    zero = [np.zeros_like(x)]
+    return _primal_dual([subspace.project(x)], zero, tau, adjoint, dual_step, certificate, tol, max_iter)
 
 
 def solve_minmax_distance(
@@ -614,14 +603,14 @@ def solve_minmax_distance(
     (x - y, sb*s) lying in the two norm cones; the cone projections are
     exact, so the dual point assembled from the polar blocks is feasible
     and the reported gap is a certificate.  Primal blocks are (y, s); dual
-    blocks are the two polar-cone pairs (za, ra), (zb, rb) and the
-    subspace constraint z3.
+    blocks are the two polar-cone pairs (za, ra), (zb, rb).  The subspace
+    enters through the mask's projection of the adjoint, which keeps y in
+    the subspace.
     """
     if scale_a <= 0 or scale_b <= 0:
         raise ValueError("distance scales must be positive")
     x = np.asarray(target, dtype=np.complex128).ravel()
-    d = x.size
-    sigma, tau = _step_sizes(3.0 + scale_a**2 + scale_b**2)
+    sigma, tau = _step_sizes(2.0 + scale_a**2 + scale_b**2)
 
     u = subspace.project(x)
     s_var = max(norm_a.value(x - u) / scale_a, norm_b.value(x - u) / scale_b)
@@ -631,15 +620,15 @@ def solve_minmax_distance(
         return w - pw, h - ph
 
     def adjoint(z):
-        za, ra, zb, rb, z3 = z
-        return [-(za + zb) + subspace.antiproject(z3), scale_a * ra + scale_b * rb + 1.0]
+        za, ra, zb, rb = z
+        return [-subspace.project(za + zb), scale_a * ra + scale_b * rb + 1.0]
 
     def dual_step(z, bar):
-        za, ra, zb, rb, z3 = z
+        za, ra, zb, rb = z
         ub, sb_ = bar
         za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * scale_a * sb_)
         zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * scale_b * sb_)
-        return [za_new, ra_new, zb_new, rb_new, z3 + sigma * subspace.antiproject(ub)]
+        return [za_new, ra_new, zb_new, rb_new]
 
     def certificate(primal, z, it, converged):
         u = primal[0]
@@ -670,6 +659,5 @@ def solve_minmax_distance(
             subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
         )
 
-    zero = np.zeros(d, dtype=np.complex128)
-    dual = [zero, 0.0, zero.copy(), 0.0, zero.copy()]
+    dual = [np.zeros_like(x), 0.0, np.zeros_like(x), 0.0]
     return _primal_dual([u, s_var], dual, tau, adjoint, dual_step, certificate, tol, max_iter)

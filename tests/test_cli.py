@@ -251,6 +251,35 @@ def test_suite_guard_failure_exits_1(tmp_path, capsys):
     assert (tmp_path / "o" / "lemma23_factor_violations.json").exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    [1, 2, 3],
+    {"instances": 1.5},
+    {"thresholds": [1, 2]},
+    {"thresholds": {"jones_h1_hinf": "big"}},
+    {"solver": {"tol": "x"}},
+    {"solver": {"tol": float("nan")}},
+    {"solver": {"max_iter": 0}},
+    {"solver": 5},
+    {"t_grid": {"t_min": -1.0}},
+    {"t_grid": {"points_per_decade": 0}},
+    {"seed": "seven"},
+], ids=["list", "instances_float", "thresholds_list", "threshold_string", "tol_string", "tol_nan",
+        "max_iter_zero", "solver_number", "t_min_negative", "points_per_decade_zero", "seed_string"])
+def test_suite_malformed_config_exits_2(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["suite", "jones_h1_hinf", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_suite_zero_instances_flag_exits_2(capsys):
+    assert main(["suite", "jones_h1_hinf", "--instances", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: instances")
+
+
 def test_suite_unknown_name_exits_2(capsys):
     assert main(["suite", "bogus"]) == 2
 

@@ -467,6 +467,49 @@ def _cert(cert):
 
 
 W16, W32 = 1.0 / 16, 1.0 / 32
+
+# masked programs whose lower bounds are re-derived from the dual witness alone
+WITNESS_SPLITS = {
+    "analytic": lambda: SplitProgram(_analytic(62, 16).samples, VectorNorm(1, W16), VectorNorm(np.inf, W16),
+                                     0.2, subspace=AnalyticMask(16)),
+    "triangular": lambda: SplitProgram(np.triu(_seeded(72, (4, 4))).ravel(), SchattenNorm(1, 4),
+                                       SchattenNorm(np.inf, 4), 1.5, subspace=TriangularMask(4)),
+    "mixed": lambda: SplitProgram(_analytic_mv(71, 16, 2), MixedNorm(2, 2, 16, 2),
+                                  MixedNorm(np.inf, np.inf, 16, 2), 1.0, subspace=AnalyticMask(16, 2)),
+}
+WITNESS_MINMAX = {
+    "circle": lambda: (_seeded(67, 16), VectorNorm(1, W16), VectorNorm(np.inf, W16), 1.1, 1.3, AnalyticMask(16)),
+    "triangular": lambda: (_seeded(68, (4, 4)).ravel(), SchattenNorm(1, 4), SchattenNorm(np.inf, 4), 4.0, 1.5,
+                           TriangularMask(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_SPLITS))
+def test_masked_split_witness_reproves_lower_bound(case):
+    prog = WITNESS_SPLITS[case]()
+    cert = solve_split(prog, tol=1e-7)
+    z0, z1 = cert.dual_witness["z0"], cert.dual_witness["z1"]
+    assert prog.norm0.dual_value(z0) <= 1.0 + 1e-9
+    assert prog.norm1.dual_value(z1) <= prog.t * (1.0 + 1e-9)
+    # z0 + z1 annihilates the subspace, which holds the target and both branches
+    scale = max(np.abs(z0).max(), np.abs(z1).max())
+    assert np.abs(prog.subspace.project(z0 + z1)).max() <= 1e-9 * scale
+    bound = -real_inner(z1, prog.target)
+    assert bound == pytest.approx(cert.dual, rel=1e-9, abs=0.0)
+    assert 0.0 < cert.dual <= cert.primal
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_MINMAX))
+def test_masked_minmax_witness_reproves_lower_bound(case):
+    x, norm_a, norm_b, sa, sb, mask = WITNESS_MINMAX[case]()
+    cert = solve_minmax_distance(x, norm_a, norm_b, sa, sb, mask, tol=1e-5)
+    za, zb = cert.dual_witness["za"], cert.dual_witness["zb"]
+    assert sa * norm_a.dual_value(za) + sb * norm_b.dual_value(zb) <= 1.0 + 1e-9
+    scale = max(np.abs(za).max(), np.abs(zb).max())
+    assert np.abs(mask.project(za + zb)).max() <= 1e-9 * scale
+    bound = real_inner(za + zb, x)
+    assert bound == pytest.approx(cert.dual, rel=1e-9, abs=0.0)
+    assert 0.0 < cert.dual <= cert.primal
 # (run, iterations, primal, dual): any change to the engine's arithmetic or
 # stopping rule moves an iteration count or a value here
 PINNED = {
@@ -476,37 +519,37 @@ PINNED = {
     "split_analytic_mask": (lambda: _cert(solve_split(
         SplitProgram(_analytic(62, 16).samples, VectorNorm(1, W16), VectorNorm(np.inf, W16), 0.2,
                      subspace=AnalyticMask(16)), tol=1e-7)),
-        300, 1.1760804128827322, 1.176080314988106),
+        200, 1.176080405139866, 1.1760803149880326),
     # warm-started primal, t * N just below 4: the hard band of the endpoint sweep
     "kt_h1_hinf_hard_band": (lambda: _kt(_analytic(63, 32), "h1,hinf", 0.1233, 1e-6),
-                             14550, 0.8468869129015236, 0.8468859463651962),
+                             6500, 0.8468869170419691, 0.8468859444262486),
     # warm-started primal and dual
     "kt_seq1_seqinf_warm": (lambda: _kt(_seeded(64, 12), "seq1,seqinf", 2.5, 1e-8),
                             50, 3.933288203432187, 3.9332882034321752),
     # singular-value warm start: primal and dual, then primal only under the mask
     "kt_S1_Sinf_warm": (lambda: _kt(_seeded(69, (4, 4)), "S1,Sinf", 1.5, 1e-8),
-                        50, 5.024820003176317, 5.02482000317631),
+                        50, 5.024820003176317, 5.024820003176309),
     "kt_T1_Tinf_warm": (lambda: _kt(_seeded(70, (4, 4)), "T1,Tinf", 1.5, 1e-6),
-                        250, 6.270591458223881, 6.270586889575666),
+                        200, 6.27058767174122, 6.270586889575634),
     # the doubled mixed-norm couple of the matrix-valued squaring split
     "split_mixed": (lambda: _cert(solve_split(
         SplitProgram(_analytic_mv(71, 16, 2), MixedNorm(2, 2, 16, 2), MixedNorm(np.inf, np.inf, 16, 2),
                      1.0, subspace=AnalyticMask(16, 2)), tol=1e-6)),
-        700, 3.8184448299697715, 3.8184422738410357),
+        350, 3.818443529352005, 3.8184424998890365),
     "distance_vector": (lambda: _cert(solve_distance(
         _seeded(65, 16), VectorNorm(1, W16), AnalyticMask(16), tol=1e-7)),
-        450, 0.8749420124371567, 0.8749419379059608),
+        150, 0.8749420159282641, 0.8749419350602835),
     "distance_schatten_triangular": (lambda: _cert(solve_distance(
         _seeded(66, (4, 4)).ravel(), SchattenNorm(np.inf, 4), TriangularMask(4), tol=1e-7)),
-        150, 3.024955345377582, 3.0249553443857726),
+        100, 3.024955345377583, 3.0249553341553215),
     "minmax_circle": (lambda: _cert(solve_minmax_distance(
         _seeded(67, 16), VectorNorm(1, W16), VectorNorm(np.inf, W16), 1.1, 1.3, AnalyticMask(16),
         tol=1e-5)),
-        4700, 0.9924369357430736, 0.9924276047064013),
+        3650, 0.9924333313279703, 0.9924275877697588),
     "minmax_triangular": (lambda: _cert(solve_minmax_distance(
         _seeded(68, (4, 4)).ravel(), SchattenNorm(1, 4), SchattenNorm(np.inf, 4), 4.0, 1.5,
         TriangularMask(4), tol=1e-5)),
-        350, 1.6678743567632202, 1.66786473406915),
+        200, 1.667874356768629, 1.667869790788994),
 }
 
 
