@@ -245,6 +245,10 @@ def _serialize_payload(x):
 # suite bodies: each returns (rows, violations) for one instance index
 
 
+def _unconverged(gap: float) -> str:
+    return f"solver stopped unconverged at gap {gap:.3e}"
+
+
 def _suite_jones(config: ExperimentConfig, idx: int):
     f = generate_instance("analytic_poly", config, idx)
     thr = config.thresholds["jones_h1_hinf"]
@@ -258,6 +262,8 @@ def _suite_jones(config: ExperimentConfig, idx: int):
         rows.append(row)
         if not (1.0 - 1e-9 <= row["ratio"] <= thr):
             bad.append((f, row, f"ratio {row['ratio']:.6g} outside [1-1e-9, {thr}]"))
+        if not dec.meta["solver_converged"]:
+            bad.append((f, row, _unconverged(gap)))
     return rows, bad
 
 
@@ -275,6 +281,8 @@ def _suite_prop12(config: ExperimentConfig, idx: int):
         rows.append(row)
         if not (1.0 - 1e-9 <= row["ratio"] <= thr):
             bad.append((f, row, f"ratio {row['ratio']:.6g} outside [1-1e-9, {thr}]"))
+        if not amb.converged:
+            bad.append((f, row, _unconverged(amb.gap)))
         if holder_excess > 1e-9:
             bad.append((f, row, f"cross-term norm exceeds its bound by {holder_excess:.3e}"))
         if dec.membership_residual > 1e-6:
@@ -295,6 +303,8 @@ def _suite_thm21(config: ExperimentConfig, idx: int):
         rows.append(row)
         if not (1.0 - 1e-9 <= row["ratio"] <= thr):
             bad.append((x, row, f"ratio {row['ratio']:.6g} outside [1-1e-9, {thr}]"))
+        if not amb.converged:
+            bad.append((x, row, _unconverged(amb.gap)))
         if dec.membership_residual > 1e-8 * max(1.0, float(np.abs(x.entries).max())):
             bad.append((x, row, f"membership residual {dec.membership_residual:.3e}"))
     return rows, bad
@@ -317,6 +327,8 @@ def _suite_prop25(config: ExperimentConfig, idx: int):
         rows.append(row)
         if diff > thr:
             bad.append((x, row, f"matrix oracle differs from closed form by {diff:.3e}"))
+        if not bf.converged:
+            bad.append((x, row, _unconverged(bf.gap)))
     return rows, bad
 
 

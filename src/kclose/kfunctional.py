@@ -340,14 +340,20 @@ def kt_bruteforce(
     tol: float = 1e-7,
     max_iter: int = 200_000,
 ) -> BruteForceResult:
-    """K_t as a convex program over splits, certified by a feasible dual point."""
+    """K_t as a convex program over splits, certified by a feasible dual point.
+
+    A (1, inf) couple, masked or not, hands ``solve_split`` the ambient
+    optimum and its witness (z, -z) from ``_warm_start_l1_linf``.  Where the
+    ambient optimum lies in the couple's subspace (always without a mask;
+    for the analytic mask at t >= 1 and t < 1/N) the witness certifies it at
+    0 iterations; elsewhere the solver iterates from a zero dual.
+    """
     arr = _payload_array(x).ravel()
     n0, n1, mask = couple_norms(couple, x)
     prog = SplitProgram(arr, n0, n1, t, subspace=mask)
     warm_primal = warm_dual = None
     if couple.p0 == 1 and couple.p1 == np.inf:
-        warm_primal, wd = _warm_start_l1_linf(arr, n0, t)
-        warm_dual = None if mask is not None else wd
+        warm_primal, warm_dual = _warm_start_l1_linf(arr, n0, t)
     cert = solve_split(prog, tol=tol, max_iter=max_iter, warm_primal=warm_primal, warm_dual=warm_dual)
     dec = make_decomposition(couple, t, x, cert.x0, cert.x1, meta={
         "gap": cert.gap,

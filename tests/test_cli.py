@@ -251,6 +251,17 @@ def test_suite_guard_failure_exits_1(tmp_path, capsys):
     assert (tmp_path / "o" / "lemma23_factor_violations.json").exists()
 
 
+def test_suite_unconverged_solve_exits_1(tmp_path, capsys):
+    cfg = {"instances": 1, "solver": {"max_iter": 1}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["suite", "jones_h1_hinf", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "jones_h1_hinf: FAIL" in capsys.readouterr().out
+    blob = json.loads((tmp_path / "o" / "jones_h1_hinf_violations.json").read_text())
+    assert blob and all(v["reason"].startswith("solver stopped unconverged at gap ") for v in blob)
+
+
 @pytest.mark.parametrize("cfg", [
     [1, 2, 3],
     {"instances": 1.5},

@@ -165,6 +165,15 @@ def test_suite_csv_bytes_deterministic(tmp_path):
     assert a.summary["c_estimate"] == b.summary["c_estimate"]
 
 
+@pytest.mark.parametrize("suite, grid_n", [("jones_h1_hinf", 32), ("matrix_valued_33", 8)])
+def test_suite_csv_bytes_identical_across_runs(tmp_path, suite, grid_n):
+    # the analytic mask is a BLAS matrix product; two runs must still agree byte for byte
+    cfg = ExperimentConfig(instances=1, grid_n=grid_n)
+    run_suite(suite, cfg, out_dir=str(tmp_path / "a"))
+    run_suite(suite, cfg, out_dir=str(tmp_path / "b"))
+    assert (tmp_path / "a" / f"{suite}.csv").read_bytes() == (tmp_path / "b" / f"{suite}.csv").read_bytes()
+
+
 def test_guard_violation_serializes_offender(tmp_path):
     cfg = small_config()
     cfg.thresholds["lemma23_factor"] = 1e-18  # impossible bar forces a failure

@@ -33,3 +33,21 @@ def test_masked_split_lies_between_ambient_and_trivial_splits(n, coeffs, log_t):
     assert res.value >= kt_closed_form(f, t) - slack
     # x0 = f and x0 = 0 are splits inside the subspace
     assert res.value <= min(moduli.mean(), t * moduli.max()) + slack
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16]), coeffs=COEFFS, band=st.sampled_from(["below", "inside", "above"]),
+       frac=st.floats(0.01, 0.99))
+def test_masked_split_bounds_the_ambient_value_in_every_band(n, coeffs, band, frac):
+    c = np.zeros(n, dtype=np.complex128)
+    c[: len(coeffs)] = coeffs
+    f = circle.from_coeffs(c)
+    # t below 1/N, inside (1/N, 1), or at least 1
+    t = {"below": frac / n, "inside": n ** (frac - 1.0), "above": 100.0**frac}[band]
+    res = kt_bruteforce(f, H1_HINF, t, tol=TOL)
+    scale = max(1.0, res.value)
+    # subspace K >= ambient K, down to the certified lower bound
+    assert res.lower >= kt_closed_form(f, t) - 1e-12 * scale
+    assert res.value - res.lower <= TOL * scale
+    if t >= 1.0:
+        assert res.iterations == 0

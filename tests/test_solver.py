@@ -5,7 +5,7 @@ import pytest
 
 from kclose import circle
 from kclose.circle import CircleFunction
-from kclose.kfunctional import CoupleId, kt_bruteforce
+from kclose.kfunctional import CoupleId, _warm_start_l1_linf, kt_bruteforce
 from kclose.solver import (
     AnalyticMask,
     MixedNorm,
@@ -302,6 +302,22 @@ def test_analytic_mask_matrix_variant():
     assert np.abs(co[freq < 0]).max() < 1e-13
 
 
+@pytest.mark.parametrize("matdim", [None, 2])
+@pytest.mark.parametrize("npts", [8, 16, 32, 64])
+def test_analytic_mask_matrix_matches_fft(npts, matdim):
+    rng = np.random.default_rng(npts + (matdim or 0))
+    shape = (npts,) if matdim is None else (npts, matdim, matdim)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = AnalyticMask(npts, matdim)
+    keep = (circle.frequencies(npts) >= 0).reshape((npts,) + (1,) * (len(shape) - 1))
+    want = np.fft.ifft(np.fft.fft(v, axis=0) * keep, axis=0).ravel()
+    pv = mask.project(v.ravel())
+    scale = np.abs(v).max()
+    assert np.abs(pv - want).max() <= 1e-14 * scale
+    assert np.abs(mask.project(pv) - pv).max() <= 1e-14 * scale
+    assert np.abs(mask._matrix - mask._matrix.conj().T).max() <= 1e-15
+
+
 def test_triangular_mask_projection():
     rng = np.random.default_rng(37)
     mask = TriangularMask(4)
@@ -499,6 +515,39 @@ def test_masked_split_witness_reproves_lower_bound(case):
     assert 0.0 < cert.dual <= cert.primal
 
 
+def _h1_hinf_split(t, seed=63, n=32):
+    x = _analytic(seed, n).samples
+    norm0 = VectorNorm(1, 1.0 / n)
+    return SplitProgram(x, norm0, VectorNorm(np.inf, 1.0 / n), t, subspace=AnalyticMask(n)), norm0
+
+
+@pytest.mark.parametrize("t", [3.0, 0.01])
+def test_warm_dual_certifies_analytic_split_outside_the_band(t):
+    # at t >= 1 and t < 1/N the ambient optimum is analytic, so its witness certifies it at once
+    prog, norm0 = _h1_hinf_split(t)
+    warm_primal, warm_dual = _warm_start_l1_linf(prog.target, norm0, t)
+    cert = solve_split(prog, tol=1e-7, warm_primal=warm_primal, warm_dual=warm_dual)
+    assert cert.iterations == 0 and cert.converged
+    z0, z1 = cert.dual_witness["z0"], cert.dual_witness["z1"]
+    assert prog.norm0.dual_value(z0) <= 1.0 + 1e-9
+    assert prog.norm1.dual_value(z1) <= t * (1.0 + 1e-9)
+    scale = max(np.abs(z0).max(), np.abs(z1).max())
+    assert np.abs(prog.subspace.project(z0 + z1)).max() <= 1e-9 * scale
+    assert -real_inner(z1, prog.target) == pytest.approx(cert.dual, rel=1e-9, abs=0.0)
+
+
+def test_warm_dual_never_seeds_the_iteration():
+    # inside the band the warm certificate fails and the run is the one without a warm dual
+    t = 0.1233
+    prog, norm0 = _h1_hinf_split(t)
+    warm_primal, warm_dual = _warm_start_l1_linf(prog.target, norm0, t)
+    warm = solve_split(prog, tol=1e-5, warm_primal=warm_primal, warm_dual=warm_dual)
+    cold = solve_split(prog, tol=1e-5, warm_primal=warm_primal)
+    assert warm.iterations == cold.iterations > 0
+    assert (warm.primal, warm.dual) == (cold.primal, cold.dual)
+    assert np.array_equal(warm.x0, cold.x0)
+
+
 @pytest.mark.parametrize("case", sorted(WITNESS_MINMAX))
 def test_masked_minmax_witness_reproves_lower_bound(case):
     x, norm_a, norm_b, sa, sb, mask = WITNESS_MINMAX[case]()
@@ -523,12 +572,12 @@ PINNED = {
     # warm-started primal, t * N just below 4: the hard band of the endpoint sweep
     "kt_h1_hinf_hard_band": (lambda: _kt(_analytic(63, 32), "h1,hinf", 0.1233, 1e-6),
                              6500, 0.8468869170419691, 0.8468859444262486),
-    # warm-started primal and dual
+    # the warm dual certifies the exact ambient start at 0 iterations
     "kt_seq1_seqinf_warm": (lambda: _kt(_seeded(64, 12), "seq1,seqinf", 2.5, 1e-8),
-                            50, 3.933288203432187, 3.9332882034321752),
-    # singular-value warm start: primal and dual, then primal only under the mask
+                            0, 3.9332882034321863, 3.9332882034321854),
+    # singular-value warm start: certified at once, then iterated from a zero dual under the mask
     "kt_S1_Sinf_warm": (lambda: _kt(_seeded(69, (4, 4)), "S1,Sinf", 1.5, 1e-8),
-                        50, 5.024820003176317, 5.024820003176309),
+                        0, 5.024820003176316, 5.024820003176313),
     "kt_T1_Tinf_warm": (lambda: _kt(_seeded(70, (4, 4)), "T1,Tinf", 1.5, 1e-6),
                         200, 6.27058767174122, 6.270586889575634),
     # the doubled mixed-norm couple of the matrix-valued squaring split
