@@ -230,7 +230,8 @@ def simultaneous_approx(
     max(||f-h||_1/d1, ||f-h||_inf/dinf) over analytic h; the achieved max
     is reported together with both individual ratios.  If either distance
     is below 1e-10 * max(1, max|f|), f is treated as analytic and h is its
-    Riesz projection (``meta["degenerate"]``).
+    Riesz projection (``meta["degenerate"]``).  ``meta["converged"]`` says
+    whether both distances and the min-max stopped at their gap targets.
     """
     mask = AnalyticMask(f.n)
     w = 1.0 / f.n
@@ -243,7 +244,7 @@ def simultaneous_approx(
         h = circle.riesz_project(f)
         return SimultaneousResult(
             h=h, k_achieved=1.0, d1=d1, dinf=dinf, ratio_1=1.0, ratio_inf=1.0,
-            gap=0.0, meta={"degenerate": True},
+            gap=0.0, meta={"degenerate": True, "converged": c1.converged and cinf.converged},
         )
     cert = solve_minmax_distance(
         f.samples, n1, ninf, d1, dinf, mask, tol=tol, max_iter=max_iter
@@ -266,5 +267,6 @@ def simultaneous_approx(
             "d1_gap": c1.gap,
             "dinf_gap": cinf.gap,
             "iterations": cert.iterations,
+            "converged": c1.converged and cinf.converged and cert.converged,
         },
     )

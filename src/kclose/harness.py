@@ -26,6 +26,7 @@ from . import circle, embed, hardy, schatten
 from .circle import CircleFunction, from_coeffs
 from .kfunctional import CoupleId, kt_bruteforce, kt_closed_form
 from .schatten import MatrixOperator, MatrixValuedFunction
+from .solver import MAX_GRID
 
 __all__ = [
     "ExperimentConfig",
@@ -83,6 +84,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         circle._check_grid_size(self.grid_n)
+        if self.grid_n > MAX_GRID:
+            raise ValueError(f"grid_n must be at most {MAX_GRID}, got {self.grid_n}")
         if self.matrix_n > 16:
             raise ValueError("matrix_n must lie in [1, 16]")
         for name in ("tol", "t_min", "t_max", "points_per_decade", "eps_reg"):
@@ -371,6 +374,8 @@ def _suite_simultaneous_03(config: ExperimentConfig, idx: int):
     bad = []
     if res.k_achieved > thr:
         bad.append((f, row, f"K_achieved {res.k_achieved:.4f} above {thr}"))
+    if not res.meta["converged"]:
+        bad.append((f, row, _unconverged(res.gap)))
     return [row], bad
 
 
@@ -384,6 +389,8 @@ def _suite_simultaneous_21i(config: ExperimentConfig, idx: int):
     bad = []
     if res.k_achieved > thr:
         bad.append((x, row, f"K_achieved {res.k_achieved:.4f} above {thr}"))
+    if not res.meta["converged"]:
+        bad.append((x, row, _unconverged(res.gap)))
     return [row], bad
 
 
@@ -437,6 +444,10 @@ def _suite_matrix_valued(config: ExperimentConfig, idx: int):
             bad.append((f, row, f"certificate invalid: {exc}"))
         if not (1.0 - 1e-9 <= row["ratio"] <= thr):
             bad.append((f, row, f"ratio {row['ratio']:.6g} outside [1-1e-9, {thr}]"))
+        if not amb.converged:
+            bad.append((f, row, _unconverged(amb.gap)))
+        if not dec.meta["solver_converged"]:
+            bad.append((f, row, _unconverged(max(dec.meta["split_gaps"]))))
     return rows, bad
 
 

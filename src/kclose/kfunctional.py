@@ -20,6 +20,7 @@ import numpy as np
 from . import circle
 from .circle import CircleFunction, Rearrangement
 from .solver import (
+    MAX_GRID,
     AnalyticMask,
     SchattenNorm,
     SplitProgram,
@@ -45,7 +46,6 @@ __all__ = [
 _KINDS = ("lebesgue", "sequence", "schatten", "hardy", "triangular")
 _SUBSPACE_OF = {"hardy": "lebesgue", "triangular": "schatten"}
 
-MAX_GRID = 64
 MAX_MATRIX = 16
 MAX_SEQUENCE = 4096
 

@@ -349,6 +349,8 @@ def simultaneous_triangular_approx(
 
     If either distance is below 1e-10 * max(1, max|x|), x is treated as
     triangular and y is its triangular part (``meta["degenerate"]``).
+    ``meta["converged"]`` says whether both distances and the min-max
+    stopped at their gap targets.
     """
     m = _square_array(x)
     n = m.shape[0]
@@ -362,7 +364,8 @@ def simultaneous_triangular_approx(
         xhat = triangular_part(m)
         return SimultaneousMatrixResult(
             xhat=MatrixOperator(xhat), k_achieved=1.0, d1=d1, dinf=dinf,
-            ratio_1=1.0, ratio_inf=1.0, gap=0.0, meta={"degenerate": True},
+            ratio_1=1.0, ratio_inf=1.0, gap=0.0,
+            meta={"degenerate": True, "converged": c1.converged and cinf.converged},
         )
     cert = solve_minmax_distance(m.ravel(), n1, ninf, d1, dinf, mask, tol=tol, max_iter=max_iter)
     xhat = np.triu(cert.minimizer.reshape(n, n))
@@ -383,6 +386,7 @@ def simultaneous_triangular_approx(
             "d1_gap": c1.gap,
             "dinf_gap": cinf.gap,
             "iterations": cert.iterations,
+            "converged": c1.converged and cinf.converged and cert.converged,
         },
     )
 
@@ -580,7 +584,8 @@ def matrix_valued_split(
     if not np.any(sam):
         z = MatrixValuedFunction(np.zeros_like(sam))
         return MatrixValuedDecomposition(exps, t, z, MatrixValuedFunction(np.zeros_like(sam)),
-                                         0.0, 0.0, 0.0, 0.0)
+                                         0.0, 0.0, 0.0, 0.0,
+                                         meta={"split_gaps": (0.0, 0.0, 0.0), "solver_converged": True})
     res = f.analyticity_residual()
     if res > 1e-6 * np.abs(sam).max():
         raise ValueError(f"matrix_valued_split expects analytic input (residual {res:.2e})")
@@ -621,6 +626,7 @@ def matrix_valued_split(
             "leakage": leak.analyticity_residual(),
             "raw_reconstruction": float(np.abs(main0 + main1 + cross - sam).max()),
             "split_gaps": (fcert.gap, gcert.gap, ccert.gap),
+            "solver_converged": fcert.converged and gcert.converged and ccert.converged,
         },
     )
 

@@ -13,21 +13,30 @@ primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
 
 * its primal and dual blocks -- arrays or scalars, e.g. (y, s) and the
   polar-cone pairs (za, ra), (zb, rb) for the min-max program;
+* ``norm_sq``, a bound on ||K||^2, and ``balance``, the seed of the step
+  ratio sigma/tau (``_balance``);
 * ``adjoint(dual)``: K^T applied to the dual blocks, one entry per primal
   block;
-* ``dual_step(dual, extrapolated_primal)``: the dual ascent step followed by
-  each block's closed-form projection (dual-norm balls for norms, polar
-  cones for the epigraph constraints);
-* ``certificate(primal, dual, it, converged)``: the feasible primal/dual
-  pair assembled from the current blocks.
+* ``dual_step(dual, extrapolated_primal, sigma)``: the dual ascent step of
+  size sigma followed by each block's closed-form projection (dual-norm
+  balls for norms, polar cones for the epigraph constraints);
+* ``certificate(primal, dual)``: ``(value, lower, fields)``, the primal
+  value and the certified lower bound of the feasible pair assembled from
+  the blocks, plus the program's own certificate fields (split or
+  minimizer, dual witness, subspace residual).  It calls no dual-ball or
+  cone projection, so those calls count the iterations.
 
-The engine owns the primal step, the extrapolation, the over-relaxation
-(``RELAX``), the certificate check every ``CHECK_EVERY`` iterations and the
-gap test.  A masked subspace enters through the mask's orthogonal
-projection, the prox of its indicator: each program applies it to the
-adjoint, so a primal iterate that starts in the subspace stays there (P is
-linear) and no dual block carries the subspace constraint.  Complex entries
-are treated as real pairs; all moduli-based projections preserve phases.
+The engine alone owns the step sizes sigma and tau, the primal step, the
+extrapolation, the over-relaxation (``RELAX``), the certificate check every
+``CHECK_EVERY`` iterations, the gap test and the ``SolverCertificate``
+record (gap, iterations, converged).  An optional ``warm`` dual is checked
+against the starting primal with that same gap test before iteration 1; it
+never seeds the iteration.  A masked subspace enters through the mask's
+orthogonal projection, the prox of its indicator: each program applies it
+to the adjoint, so a primal iterate that starts in the subspace stays there
+(P is linear) and no dual block carries the subspace constraint.  Complex
+entries are treated as real pairs; all moduli-based projections preserve
+phases.
 
 Certificates are honest: the reported dual value is always evaluated at an
 exactly feasible dual point (iterates are projected onto the dual constraint
@@ -81,8 +90,10 @@ def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(m)[::-1]
     cum = np.cumsum(u)
     k = np.arange(1, m.size + 1)
-    cond = u - (cum - radius) / k > 0
-    kk = np.nonzero(cond)[0][-1]
+    # k = 1 always qualifies in exact arithmetic, but not when radius is
+    # below the rounding of the largest entry
+    fits = np.flatnonzero(u - (cum - radius) / k > 0)
+    kk = fits[-1] if fits.size else 0
     theta = (cum[kk] - radius) / (kk + 1)
     return np.maximum(m - theta, 0.0)
 
@@ -338,6 +349,9 @@ class MixedNorm:
         return np.einsum("tij,tj,tjk->tik", u, s2, vh).ravel()
 
 
+MAX_GRID = 64  # largest circle grid; bounds AnalyticMask's dense circulant
+
+
 class AnalyticMask:
     """Orthogonal projection killing negative-frequency Fourier content.
 
@@ -347,10 +361,12 @@ class AnalyticMask:
     held as its npoints x npoints Hermitian circulant matrix, whose first
     column is ifft(keep): one matrix product per call in place of an FFT
     round trip.  The matrix takes 16 * npoints**2 bytes, 64 KB at
-    ``kfunctional.MAX_GRID`` = 64, the largest grid a couple accepts.
+    ``MAX_GRID`` = 64, the largest grid it accepts.
     """
 
     def __init__(self, npoints: int, matdim: int | None = None):
+        if npoints > MAX_GRID:
+            raise ValueError(f"grid size {npoints} above the supported bound {MAX_GRID}")
         self.npoints = int(npoints)
         self.matdim = matdim
         freq = np.fft.fftfreq(npoints, d=1.0 / npoints)
@@ -430,23 +446,36 @@ def _balance(objective: float, x: np.ndarray) -> float:
     return max(objective / e, 1e-8) if e else 1.0
 
 
-def _step_sizes(norm_sq: float, balance: float = 1.0):
-    """(sigma, tau) with sigma * tau * norm_sq = 0.95**2 and sigma / tau = balance**2."""
-    return 0.95 * balance / np.sqrt(norm_sq), 0.95 / (balance * np.sqrt(norm_sq))
-
-
-def _primal_dual(primal, dual, tau, adjoint, dual_step, certificate, tol, max_iter):
+def _primal_dual(primal, dual, norm_sq, balance, adjoint, dual_step, certificate, tol, max_iter, warm=None):
     """Over-relaxed primal-dual iteration shared by the three programs.
 
     ``primal`` and ``dual`` are lists of blocks (arrays or scalars), updated
-    in place.  Each iteration takes the primal step against
-    ``adjoint(dual)``, extrapolates to ``2*new - old``, takes
-    ``dual_step(dual, extrapolated)`` and over-relaxes both sides.  Every
-    CHECK_EVERY iterations and at ``max_iter`` it asks ``certificate(primal,
-    dual, it, converged)`` for a certificate and returns it once
-    ``gap <= tol * max(1, primal)``; otherwise the last certificate is
-    returned unconverged.
+    in place.  The step sizes satisfy sigma * tau * norm_sq = 0.95**2 and
+    sigma / tau = balance**2, with ``norm_sq`` a bound on ||K||^2.  Each
+    iteration takes the primal step against ``adjoint(dual)``, extrapolates
+    to ``2*new - old``, takes ``dual_step(dual, extrapolated, sigma)`` and
+    over-relaxes both sides.  ``certificate(primal, dual)`` gives ``(value,
+    lower, fields)``: the primal value and certified lower bound of the
+    feasible pair assembled from the blocks, and the program's own
+    SolverCertificate fields.  It is checked every CHECK_EVERY iterations
+    and at ``max_iter``, and a run stops once ``gap <= tol * max(1,
+    value)``; at ``max_iter`` the last certificate is returned unconverged.
+    A ``warm`` dual is checked against the starting primal with the same
+    test before iteration 1 and returned at 0 iterations if it passes; it
+    never seeds the iteration, which starts from ``dual``.
     """
+    sigma = 0.95 * balance / np.sqrt(norm_sq)
+    tau = 0.95 / (balance * np.sqrt(norm_sq))
+
+    def check(y, it):
+        value, lower, fields = certificate(primal, y)
+        gap = value - lower
+        return SolverCertificate(value, lower, gap, it, bool(gap <= tol * max(1.0, value)), **fields)
+
+    if warm is not None:
+        cert = check(warm, 0)
+        if cert.converged:
+            return cert
     for it in range(1, max_iter + 1):
         bar = []
         for i, g in enumerate(adjoint(dual)):
@@ -454,14 +483,14 @@ def _primal_dual(primal, dual, tau, adjoint, dual_step, certificate, tol, max_it
             v_new = v - tau * g
             bar.append(2.0 * v_new - v)
             primal[i] = v + RELAX * (v_new - v)
-        for i, v_new in enumerate(dual_step(dual, bar)):
+        for i, v_new in enumerate(dual_step(dual, bar, sigma)):
             v = dual[i]
             dual[i] = v + RELAX * (v_new - v)
         if it % CHECK_EVERY == 0 or it == max_iter:
-            cert = certificate(primal, dual, it, True)
-            if cert.gap <= tol * max(1.0, cert.primal):
+            cert = check(dual, it)
+            if cert.converged or it == max_iter:
                 return cert
-    return certificate(primal, dual, max_iter, False)
+    return check(dual, 0)  # max_iter < 1: the start, unchecked by any iteration
 
 
 def solve_split(
@@ -491,8 +520,6 @@ def solve_split(
         return SolverCertificate(0.0, 0.0, 0.0, 0, True, x0=z, x1=z.copy())
 
     objective = prog.norm0.value(x) + t * prog.norm1.value(x)
-    sigma, tau = _step_sizes(2.0, _balance(0.5 * objective, x))
-
     u = 0.5 * x if warm_primal is None else np.asarray(warm_primal, dtype=np.complex128).ravel()
     if mask is not None:
         u = mask.project(u)
@@ -500,14 +527,14 @@ def solve_split(
     def adjoint(y):
         return [y[0] + y[1] if mask is None else mask.project(y[0] + y[1])]
 
-    def dual_step(y, bar):
+    def dual_step(y, bar, sigma):
         (ub,) = bar
         return [
             prog.norm0.project_dual_ball(y[0] + sigma * ub, 1.0),
             prog.norm1.project_dual_ball(y[1] + sigma * (ub - x), t),
         ]
 
-    def certificate(primal, y, it, converged):
+    def certificate(primal, y):
         (u,) = primal
         x0 = mask.project(u) if mask is not None else u
         x1 = x - x0
@@ -517,32 +544,16 @@ def solve_split(
         z0 = y[0] - mask.project(y[0] + y2) if mask is not None else -y2
         a = prog.norm0.dual_value(z0)
         b = prog.norm1.dual_value(y2)
-        s_candidates = []
-        if a > 0:
-            s_candidates.append(1.0 / a)
-        if b > 0:
-            s_candidates.append(t / b)
-        s = min(s_candidates) if s_candidates else 0.0
-        dual = max(0.0, s * (-_real_inner(y2, x)))
+        # the largest scale that keeps s*z0 and s*y2 inside their dual balls
+        s = min((c / d for c, d in ((1.0, a), (t, b)) if d > 0), default=0.0)
         sub_res = float(np.abs(mask.antiproject(u)).max()) if mask is not None else 0.0
-        return SolverCertificate(
-            primal=value,
-            dual=dual,
-            gap=value - dual,
-            iterations=it,
-            converged=converged,
-            x0=x0,
-            x1=x1,
-            dual_witness={"z0": s * z0, "z1": s * y2},
-            subspace_residual=sub_res,
-        )
+        return value, max(0.0, s * (-_real_inner(y2, x))), dict(
+            x0=x0, x1=x1, dual_witness={"z0": s * z0, "z1": s * y2}, subspace_residual=sub_res)
 
-    if warm_dual is not None:
-        cert = certificate([u], [np.asarray(w, dtype=np.complex128).ravel() for w in warm_dual], 0, True)
-        if cert.gap <= tol * max(1.0, cert.primal):
-            return cert
+    warm = None if warm_dual is None else [np.asarray(w, dtype=np.complex128).ravel() for w in warm_dual]
     dual = [np.zeros_like(x), np.zeros_like(x)]
-    return _primal_dual([u], dual, tau, adjoint, dual_step, certificate, tol, max_iter)
+    return _primal_dual([u], dual, 2.0, _balance(0.5 * objective, x), adjoint, dual_step, certificate,
+                        tol, max_iter, warm)
 
 
 def solve_distance(
@@ -558,38 +569,29 @@ def solve_distance(
     norm at most one, so Re<x, z> is a true lower bound on the distance.
     """
     x = np.asarray(target, dtype=np.complex128).ravel()
-    sigma, tau = _step_sizes(1.0, _balance(norm.value(x), x))
 
     def adjoint(y):
         return [-subspace.project(y[0])]
 
-    def dual_step(y, bar):
+    def dual_step(y, bar, sigma):
         (ub,) = bar
         return [norm.project_dual_ball(y[0] + sigma * (x - ub), 1.0)]
 
-    def certificate(primal, y, it, converged):
+    def certificate(primal, y):
         (u,) = primal
         y_feas = subspace.project(u)
-        value = norm.value(x - y_feas)
         z = subspace.antiproject(y[0])
         nz = norm.dual_value(z)
         s = 1.0 / nz if nz > 0 else 0.0
         val = s * _real_inner(z, x)
-        dual = abs(val)  # sign flip of a feasible witness stays feasible
-        witness = z * (s if val >= 0 else -s)
-        return SolverCertificate(
-            primal=value,
-            dual=dual,
-            gap=value - dual,
-            iterations=it,
-            converged=converged,
-            minimizer=y_feas,
-            dual_witness={"z": witness},
-            subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
-        )
+        # a sign flip of a feasible witness stays feasible
+        return norm.value(x - y_feas), abs(val), dict(
+            minimizer=y_feas, dual_witness={"z": z * (s if val >= 0 else -s)},
+            subspace_residual=float(np.abs(subspace.antiproject(u)).max()))
 
     zero = [np.zeros_like(x)]
-    return _primal_dual([subspace.project(x)], zero, tau, adjoint, dual_step, certificate, tol, max_iter)
+    return _primal_dual([subspace.project(x)], zero, 1.0, _balance(norm.value(x), x), adjoint, dual_step,
+                        certificate, tol, max_iter)
 
 
 def solve_minmax_distance(
@@ -615,8 +617,6 @@ def solve_minmax_distance(
     if scale_a <= 0 or scale_b <= 0:
         raise ValueError("distance scales must be positive")
     x = np.asarray(target, dtype=np.complex128).ravel()
-    sigma, tau = _step_sizes(2.0 + scale_a**2 + scale_b**2)
-
     u = subspace.project(x)
     s_var = max(norm_a.value(x - u) / scale_a, norm_b.value(x - u) / scale_b)
 
@@ -628,41 +628,26 @@ def solve_minmax_distance(
         za, ra, zb, rb = z
         return [-subspace.project(za + zb), scale_a * ra + scale_b * rb + 1.0]
 
-    def dual_step(z, bar):
+    def dual_step(z, bar, sigma):
         za, ra, zb, rb = z
         ub, sb_ = bar
         za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * scale_a * sb_)
         zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * scale_b * sb_)
         return [za_new, ra_new, zb_new, rb_new]
 
-    def certificate(primal, z, it, converged):
+    def certificate(primal, z):
         u = primal[0]
         za, zb = z[0], z[2]
         y_feas = subspace.project(u)
         value = max(norm_a.value(x - y_feas) / scale_a, norm_b.value(x - y_feas) / scale_b)
         corr = subspace.project(za + zb) * 0.5  # dual relation needs P(za+zb) = 0
-        za_f = za - corr
-        zb_f = zb - corr
-        rho_a = norm_a.dual_value(za_f)
-        rho_b = norm_b.dual_value(zb_f)
-        denom = scale_a * rho_a + scale_b * rho_b
-        if denom > 0:
-            f = 1.0 / denom
-            dual = max(0.0, f * _real_inner(za_f + zb_f, x))
-            witness = {"za": f * za_f, "zb": f * zb_f}
-        else:
-            dual = 0.0
-            witness = {}
-        return SolverCertificate(
-            primal=value,
-            dual=dual,
-            gap=value - dual,
-            iterations=it,
-            converged=converged,
-            minimizer=y_feas,
-            dual_witness=witness,
-            subspace_residual=float(np.abs(subspace.antiproject(u)).max()),
-        )
+        za_f, zb_f = za - corr, zb - corr
+        denom = scale_a * norm_a.dual_value(za_f) + scale_b * norm_b.dual_value(zb_f)
+        f = 1.0 / denom if denom > 0 else 0.0
+        return value, max(0.0, f * _real_inner(za_f + zb_f, x)), dict(
+            minimizer=y_feas, dual_witness={"za": f * za_f, "zb": f * zb_f} if denom > 0 else {},
+            subspace_residual=float(np.abs(subspace.antiproject(u)).max()))
 
     dual = [np.zeros_like(x), 0.0, np.zeros_like(x), 0.0]
-    return _primal_dual([u, s_var], dual, tau, adjoint, dual_step, certificate, tol, max_iter)
+    return _primal_dual([u, s_var], dual, 2.0 + scale_a**2 + scale_b**2, 1.0, adjoint, dual_step, certificate,
+                        tol, max_iter)

@@ -128,6 +128,23 @@ def test_kfunc_wide_bracket_warns(tmp_path, capsys, t):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("couple, t, payload", [
+    ("seq2,seqinf", "1e-16", "array"),
+    ("L2,Linf", "1e-30", "array"),
+    ("L2,Linf", "1e-30", "circle"),
+])
+def test_kfunc_radius_below_rounding_exits_0(tmp_path, capsys, couple, t, payload):
+    # the l1-ball projection at a radius below the rounding of the largest modulus
+    path = write_array8(tmp_path)
+    if payload == "circle":
+        path = tmp_path / "c8.json"
+        path.write_text(json.dumps({"n": 8, "re": list(range(1, 9)), "im": [0.0] * 8}))
+    assert main(["kfunc", "--couple", couple, "--t", t, "--in", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert np.isfinite(float(captured.out))
+    assert "Traceback" not in captured.err
+
+
 def test_kfunc_converged_solve_does_not_warn(tmp_path, capsys):
     assert main(["kfunc", "--couple", "seq1,seq1.5", "--t", "3", "--in", write_array8(tmp_path)]) == 0
     captured = capsys.readouterr()
@@ -260,6 +277,25 @@ def test_suite_unconverged_solve_exits_1(tmp_path, capsys):
     assert "jones_h1_hinf: FAIL" in capsys.readouterr().out
     blob = json.loads((tmp_path / "o" / "jones_h1_hinf_violations.json").read_text())
     assert blob and all(v["reason"].startswith("solver stopped unconverged at gap ") for v in blob)
+
+
+@pytest.mark.parametrize("suite", ["matrix_valued_33", "simultaneous_03", "simultaneous_21i"])
+def test_suite_unconverged_solve_exits_1_per_suite(tmp_path, capsys, suite):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"instances": 1, "grid_n": 8, "solver": {"max_iter": 1}}))
+    assert main(["suite", suite, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{suite}: FAIL" in capsys.readouterr().out
+    blob = json.loads((tmp_path / "o" / f"{suite}_violations.json").read_text())
+    assert any(v["reason"].startswith("solver stopped unconverged at gap ") for v in blob)
+
+
+def test_suite_grid_above_max_grid_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"instances": 1, "grid_n": 128}))
+    assert main(["suite", "jones_h1_hinf", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "grid_n" in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("cfg", [

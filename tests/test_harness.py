@@ -35,6 +35,12 @@ def test_config_validation():
         ExperimentConfig(t_min=2.0, t_max=1.0)
 
 
+def test_config_rejects_grid_above_max_grid():
+    assert ExperimentConfig(grid_n=64).grid_n == 64
+    with pytest.raises(ValueError, match="grid_n must be at most 64"):
+        ExperimentConfig(grid_n=128)
+
+
 def test_config_t_grid_endpoints():
     cfg = ExperimentConfig(t_min=1e-2, t_max=1e2, points_per_decade=3)
     g = cfg.t_grid()

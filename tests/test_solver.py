@@ -1,18 +1,24 @@
 """Convex machinery: norms, dual balls, masks, and certified programs."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from kclose import circle
+from kclose import circle, kfunctional
 from kclose.circle import CircleFunction
 from kclose.kfunctional import CoupleId, _warm_start_l1_linf, kt_bruteforce
 from kclose.solver import (
+    MAX_GRID,
     AnalyticMask,
     MixedNorm,
     SchattenNorm,
     SplitProgram,
     TriangularMask,
+    SolverCertificate,
     VectorNorm,
+    _project_l1_ball,
     _project_lp_ball,
     solve_distance,
     solve_minmax_distance,
@@ -152,6 +158,14 @@ def test_lp_ball_projection_keeps_inner_points():
     m = np.array([0.3, 0.0, 0.4])
     assert np.array_equal(_project_lp_ball(m, 1.5, 1.0), m)
     assert np.array_equal(_project_lp_ball(m, 1.5, 0.0), np.zeros(3))
+
+
+def test_l1_ball_projection_radius_below_rounding():
+    # no k passes the threshold test in floating point once radius is below
+    # the rounding of the largest entry
+    z = _project_l1_ball(np.arange(1.0, 9.0), 1e-20)
+    assert np.all(np.isfinite(z)) and np.all(z >= 0)
+    assert z.sum() <= 1e-20
 
 
 def test_soft_threshold_frozen():
@@ -316,6 +330,13 @@ def test_analytic_mask_matrix_matches_fft(npts, matdim):
     assert np.abs(pv - want).max() <= 1e-14 * scale
     assert np.abs(mask.project(pv) - pv).max() <= 1e-14 * scale
     assert np.abs(mask._matrix - mask._matrix.conj().T).max() <= 1e-15
+
+
+def test_analytic_mask_rejects_grid_above_max_grid():
+    assert kfunctional.MAX_GRID is MAX_GRID
+    assert AnalyticMask(MAX_GRID).npoints == MAX_GRID
+    with pytest.raises(ValueError, match="above the supported bound"):
+        AnalyticMask(2 * MAX_GRID)
 
 
 def test_triangular_mask_projection():
@@ -609,3 +630,56 @@ def test_programs_pinned(case):
     assert got_it == iterations
     assert got_primal == pytest.approx(primal, rel=1e-9, abs=0.0)
     assert got_dual == pytest.approx(dual, rel=1e-9, abs=0.0)
+
+
+# the three programs at a tol no run reaches, each with the lower bound its
+# dual witness re-derives (None when the witness is empty)
+def _split_stop(max_iter):
+    prog = WITNESS_SPLITS["analytic"]()
+    cert = solve_split(prog, tol=1e-30, max_iter=max_iter)
+    return cert, max(0.0, -real_inner(cert.dual_witness["z1"], prog.target))
+
+
+def _distance_stop(max_iter):
+    x = _seeded(65, 16)
+    cert = solve_distance(x, VectorNorm(1, W16), AnalyticMask(16), tol=1e-30, max_iter=max_iter)
+    return cert, real_inner(cert.dual_witness["z"], x)
+
+
+def _minmax_stop(max_iter):
+    x, norm_a, norm_b, sa, sb, mask = WITNESS_MINMAX["circle"]()
+    cert = solve_minmax_distance(x, norm_a, norm_b, sa, sb, mask, tol=1e-30, max_iter=max_iter)
+    w = cert.dual_witness
+    return cert, max(0.0, real_inner(w["za"] + w["zb"], x)) if w else None
+
+
+STOP_RUNS = {"split": _split_stop, "distance": _distance_stop, "minmax": _minmax_stop}
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 50])
+@pytest.mark.parametrize("program", sorted(STOP_RUNS))
+def test_engine_stops_unconverged_at_max_iter(program, max_iter):
+    cert, lower = STOP_RUNS[program](max_iter)
+    assert cert.iterations == max_iter and cert.converged is False
+    assert cert.gap == cert.primal - cert.dual
+    assert cert.dual <= cert.primal
+    if lower is None:
+        assert cert.dual == 0.0
+    else:
+        assert lower == pytest.approx(cert.dual, rel=1e-9, abs=1e-15)
+
+
+def test_benchmark_contract_names():
+    # perfbench binds these by name; it runs outside the tier-1 suite
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(solve_split) == ["prog", "tol", "max_iter", "warm_primal", "warm_dual"]
+    assert params(solve_distance) == ["target", "norm", "subspace", "tol", "max_iter"]
+    assert params(solve_minmax_distance) == ["target", "norm_a", "norm_b", "scale_a", "scale_b", "subspace",
+                                             "tol", "max_iter"]
+    assert [f.name for f in dataclasses.fields(SplitProgram)] == ["target", "norm0", "norm1", "t", "subspace"]
+    assert {"primal", "dual", "gap", "iterations", "converged", "dual_witness"} <= {
+        f.name for f in dataclasses.fields(SolverCertificate)}
+    keys = {name: set(run(50)[0].dual_witness) for name, run in STOP_RUNS.items()}
+    assert keys == {"split": {"z0", "z1"}, "distance": {"z"}, "minmax": {"za", "zb"}}
