@@ -13,8 +13,8 @@ primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
 
 * its primal and dual blocks -- arrays or scalars, e.g. (y, s) and the
   polar-cone pairs (za, ra), (zb, rb) for the min-max program;
-* ``norm_sq``, a bound on ||K||^2, and ``balance``, the seed of the step
-  ratio sigma/tau (``_balance``);
+* ``norm_sq``, a bound on ||K||^2, and ``balance``, the starting primal
+  weight omega (``_balance``);
 * ``adjoint(dual)``: K^T applied to the dual blocks, one entry per primal
   block;
 * ``dual_step(dual, extrapolated_primal, sigma)``: the dual ascent step of
@@ -26,17 +26,23 @@ primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
   minimizer, dual witness, subspace residual).  It calls no dual-ball or
   cone projection, so those calls count the iterations.
 
-The engine alone owns the step sizes sigma and tau, the primal step, the
-extrapolation, the over-relaxation (``RELAX``), the certificate check every
-``CHECK_EVERY`` iterations, the gap test and the ``SolverCertificate``
-record (gap, iterations, converged).  An optional ``warm`` dual is checked
-against the starting primal with that same gap test before iteration 1; it
-never seeds the iteration.  A masked subspace enters through the mask's
-orthogonal projection, the prox of its indicator: each program applies it
-to the adjoint, so a primal iterate that starts in the subspace stays there
-(P is linear) and no dual block carries the subspace constraint.  Complex
-entries are treated as real pairs; all moduli-based projections preserve
-phases.
+The engine alone owns the step sizes sigma = eta*omega and tau = eta/omega
+(eta = 0.95/sqrt(norm_sq)), the primal step, the extrapolation, the
+over-relaxation (``RELAX``), the certificate check every ``CHECK_EVERY``
+iterations, the gap test and the ``SolverCertificate`` record (gap,
+iterations, converged).  The primal weight omega adapts per solve, as in
+PDLP: a check that does not stop the run restarts when the gap has fallen
+to a fifth of the gap at the last restart, or to four fifths and then
+risen, or when at least 36% of the run lies since the last restart.  A
+restart moves omega to the geometric mean of itself and ||dy||/||dx||, the
+dual over the primal movement since the last restart.  An optional
+``warm`` dual is checked against the starting primal with that same gap
+test before iteration 1; it never seeds the iteration.  A masked subspace
+enters through the mask's orthogonal projection, the prox of its
+indicator: each program applies it to the adjoint, so a primal iterate
+that starts in the subspace stays there (P is linear) and no dual block
+carries the subspace constraint.  Complex entries are treated as real
+pairs; all moduli-based projections preserve phases.
 
 Certificates are honest: the reported dual value is always evaluated at an
 exactly feasible dual point (iterates are projected onto the dual constraint
@@ -433,14 +439,22 @@ class SolverCertificate:
 
 RELAX = 1.85  # over-relaxation factor of every program
 CHECK_EVERY = 50  # iterations between certificate checks
+# restart tests on the gap and the iteration count (PDLP's defaults)
+RESTART_SUFFICIENT, RESTART_NECESSARY, RESTART_ARTIFICIAL = 0.2, 0.8, 0.36
+
+
+def _distance(blocks, ref) -> float:
+    """Euclidean distance between two lists of blocks, scalars included."""
+    return float(np.sqrt(sum(np.sum(np.abs(np.subtract(a, b)) ** 2) for a, b in zip(blocks, ref))))
 
 
 def _balance(objective: float, x: np.ndarray) -> float:
-    """Step-size balance sigma/tau ~ (dual scale / primal scale).
+    """Starting primal weight omega ~ (dual scale / primal scale).
 
     The dual iterates live at the scale of the dual-ball radii, which for
-    measure-weighted norms is far below the primal scale; balancing by the
+    measure-weighted norms is far below the primal scale; starting from the
     objective-to-Euclidean ratio of the target keeps both updates moving.
+    It only seeds omega: the engine's restarts adapt it from there.
     """
     e = np.sqrt(_real_inner(x, x))
     return max(objective / e, 1e-8) if e else 1.0
@@ -450,22 +464,40 @@ def _primal_dual(primal, dual, norm_sq, balance, adjoint, dual_step, certificate
     """Over-relaxed primal-dual iteration shared by the three programs.
 
     ``primal`` and ``dual`` are lists of blocks (arrays or scalars), updated
-    in place.  The step sizes satisfy sigma * tau * norm_sq = 0.95**2 and
-    sigma / tau = balance**2, with ``norm_sq`` a bound on ||K||^2.  Each
-    iteration takes the primal step against ``adjoint(dual)``, extrapolates
-    to ``2*new - old``, takes ``dual_step(dual, extrapolated, sigma)`` and
-    over-relaxes both sides.  ``certificate(primal, dual)`` gives ``(value,
-    lower, fields)``: the primal value and certified lower bound of the
-    feasible pair assembled from the blocks, and the program's own
-    SolverCertificate fields.  It is checked every CHECK_EVERY iterations
-    and at ``max_iter``, and a run stops once ``gap <= tol * max(1,
-    value)``; at ``max_iter`` the last certificate is returned unconverged.
-    A ``warm`` dual is checked against the starting primal with the same
-    test before iteration 1 and returned at 0 iterations if it passes; it
-    never seeds the iteration, which starts from ``dual``.
+    in place.  The step sizes are sigma = eta * omega and tau = eta / omega
+    with eta = 0.95 / sqrt(norm_sq), so sigma * tau * norm_sq = 0.95**2
+    whatever the primal weight omega; ``norm_sq`` bounds ||K||^2 and
+    ``balance`` only seeds omega.  Each iteration takes the primal step
+    against ``adjoint(dual)``, extrapolates to ``2*new - old``, takes
+    ``dual_step(dual, extrapolated, sigma)`` and over-relaxes both sides.
+    ``certificate(primal, dual)`` gives ``(value, lower, fields)``: the
+    primal value and certified lower bound of the feasible pair assembled
+    from the blocks, and the program's own SolverCertificate fields.  It is
+    checked every CHECK_EVERY iterations and at ``max_iter``, and a run
+    stops once ``gap <= tol * max(1, value)``; at ``max_iter`` the last
+    certificate is returned unconverged.
+
+    A check that does not stop the run may restart (PDLP's rule: Applegate
+    et al., NeurIPS 2021, sections 3.3-3.4).  The first check only records
+    its gap; later ones restart when the gap is
+
+    * at most RESTART_SUFFICIENT times the gap at the last restart, or
+    * at most RESTART_NECESSARY times that gap and above the previous
+      check's, or when
+    * the iterations since the last restart are at least RESTART_ARTIFICIAL
+      times all iterations so far.
+
+    A restart sets omega <- sqrt(omega * ||dy|| / ||dx||), where dx and dy
+    are the Euclidean changes of the primal and dual blocks since the last
+    restart (omega is kept when either is 0 or not finite), and moves the
+    reference point and gap to the current iterates.  The iterates
+    themselves are not reset.  A ``warm`` dual is checked against the
+    starting primal with the same gap test before iteration 1 and returned
+    at 0 iterations if it passes; it never seeds the iteration, which
+    starts from ``dual``.
     """
-    sigma = 0.95 * balance / np.sqrt(norm_sq)
-    tau = 0.95 / (balance * np.sqrt(norm_sq))
+    eta = 0.95 / np.sqrt(norm_sq)
+    omega = balance
 
     def check(y, it):
         value, lower, fields = certificate(primal, y)
@@ -476,7 +508,11 @@ def _primal_dual(primal, dual, norm_sq, balance, adjoint, dual_step, certificate
         cert = check(warm, 0)
         if cert.converged:
             return cert
+    ref_primal, ref_dual = list(primal), list(dual)
+    ref_gap = last_gap = None
+    ref_it = 0
     for it in range(1, max_iter + 1):
+        sigma, tau = eta * omega, eta / omega
         bar = []
         for i, g in enumerate(adjoint(dual)):
             v = primal[i]
@@ -490,6 +526,17 @@ def _primal_dual(primal, dual, norm_sq, balance, adjoint, dual_step, certificate
             cert = check(dual, it)
             if cert.converged or it == max_iter:
                 return cert
+            gap = cert.gap
+            if ref_gap is None:
+                ref_gap = gap
+            elif (gap <= RESTART_SUFFICIENT * ref_gap
+                  or (gap <= RESTART_NECESSARY * ref_gap and gap > last_gap)
+                  or it - ref_it >= RESTART_ARTIFICIAL * it):
+                dx, dy = _distance(primal, ref_primal), _distance(dual, ref_dual)
+                if 0 < dx < np.inf and 0 < dy < np.inf:
+                    omega = np.sqrt(omega * dy / dx)
+                ref_primal, ref_dual, ref_gap, ref_it = list(primal), list(dual), gap, it
+            last_gap = gap
     return check(dual, 0)  # max_iter < 1: the start, unchecked by any iteration
 
 

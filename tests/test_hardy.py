@@ -1,10 +1,13 @@
 """Analytic-subspace decompositions and simultaneous approximation."""
 
+import time
+
 import numpy as np
 import pytest
 
 from kclose import circle, hardy
 from kclose.circle import CircleFunction, from_coeffs
+from kclose.harness import ExperimentConfig, generate_instance
 from kclose.kfunctional import CoupleId, kt_bruteforce, kt_closed_form
 
 
@@ -221,3 +224,14 @@ def test_simultaneous_random_sweep():
         got1 = circle.lp_norm(CircleFunction(f.samples - res.h.samples), 1.0) / res.d1
         assert abs(got1 - res.ratio_1) < 1e-9
         assert max(res.ratio_1, res.ratio_inf) <= res.k_achieved + 1e-9
+
+
+# (seed, grid, input): the analytic L1 distance of these trig inputs stalled
+# unconverged at 400,000 iterations under a fixed primal weight
+@pytest.mark.parametrize("seed,n,index", [(4, 16, 4), (10, 32, 17)])
+def test_simultaneous_former_stall_converges(seed, n, index):
+    f = generate_instance("trig_poly", ExperimentConfig(seed=seed, grid_n=n), index)
+    t0 = time.perf_counter()
+    res = hardy.simultaneous_approx(f, tol=1e-5)
+    assert time.perf_counter() - t0 < 2.0
+    assert res.meta["converged"] is True

@@ -17,6 +17,12 @@ COEFFS = st.lists(
 )
 
 
+def _analytic(n, coeffs):
+    c = np.zeros(n, dtype=np.complex128)
+    c[: len(coeffs)] = coeffs
+    return circle.from_coeffs(c)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(n=st.sampled_from([8, 16]), coeffs=COEFFS, log_t=st.floats(-2.0, 2.0))
 def test_masked_split_lies_between_ambient_and_trivial_splits(n, coeffs, log_t):
@@ -51,3 +57,28 @@ def test_masked_split_bounds_the_ambient_value_in_every_band(n, coeffs, band, fr
     assert res.value - res.lower <= TOL * scale
     if t >= 1.0:
         assert res.iterations == 0
+
+
+# K_t = inf over splits of ||x0|| + t*||x1|| is an infimum of affine
+# functions of t with nonnegative slopes, so it is nondecreasing and concave;
+# each certified bracket may sit up to its gap away from K_t.  The t's lie in
+# (1/N, 1), where the solver iterates rather than certifying a warm start.
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16]), coeffs=COEFFS, fracs=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2))
+def test_masked_split_bracket_is_nondecreasing_in_t(n, coeffs, fracs):
+    f = _analytic(n, coeffs)
+    lo, hi = (kt_bruteforce(f, H1_HINF, n ** (frac - 1.0), tol=TOL) for frac in sorted(fracs))
+    slack = TOL * max(1.0, hi.value)
+    assert lo.value <= hi.value + slack
+    assert lo.lower <= hi.lower + slack
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16]), coeffs=COEFFS, fracs=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2),
+       lam=st.floats(0.05, 0.95))
+def test_masked_split_bracket_is_concave_in_t(n, coeffs, fracs, lam):
+    f = _analytic(n, coeffs)
+    ta, tb = (n ** (frac - 1.0) for frac in fracs)
+    a, b, mid = (kt_bruteforce(f, H1_HINF, t, tol=TOL) for t in (ta, tb, (1.0 - lam) * ta + lam * tb))
+    chord = (1.0 - lam) * a.value + lam * b.value
+    assert mid.lower >= chord - 2.0 * TOL * max(1.0, mid.value, a.value, b.value)
