@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import VectorNorm
+
 __all__ = [
     "CircleFunction",
     "Rearrangement",
@@ -162,12 +164,7 @@ def hilbert_transform(f: CircleFunction) -> CircleFunction:
 
 def lp_norm(f: CircleFunction, p: float) -> float:
     """L^p norm against the uniform probability weight; p = inf is the max."""
-    if p == np.inf:
-        return float(np.max(np.abs(f.samples)))
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    a = np.abs(f.samples)
-    return float((np.sum(a**p) / f.n) ** (1.0 / p))
+    return VectorNorm(p, 1.0 / f.n).value(f.samples)
 
 
 def inner(f: CircleFunction, g: CircleFunction) -> complex:
@@ -179,8 +176,9 @@ def inner(f: CircleFunction, g: CircleFunction) -> complex:
 
 def _negative_frequency_mass(coeffs: np.ndarray) -> float:
     """Largest modulus among the negative-frequency entries of ``coeffs``,
-    coefficients in FFT order along axis 0 (scalar or matrix-valued)."""
-    neg = np.abs(coeffs[frequencies(coeffs.shape[0]) < 0])
+    coefficients in FFT order along axis 0 (scalar or matrix-valued); those
+    are the slots from (n + 1) // 2 on, Nyquist included for even n."""
+    neg = np.abs(coeffs[(coeffs.shape[0] + 1) // 2 :])
     return float(neg.max()) if neg.size else 0.0
 
 

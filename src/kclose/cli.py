@@ -63,7 +63,15 @@ def _emit(obj: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_t_tol(args) -> None:
+    if not np.isfinite(args.t):
+        raise _UsageError(f"--t must be finite, got {args.t}")
+    if not 0 < args.tol < np.inf:
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
+
+
 def _cmd_kfunc(args) -> int:
+    _check_t_tol(args)
     couple = CoupleId.parse(args.couple)
     if args.infile:
         x = _load_payload(args.infile)
@@ -132,6 +140,7 @@ def _decomposition_json(dec) -> dict:
 
 
 def _cmd_decompose(args) -> int:
+    _check_t_tol(args)
     couple = CoupleId.parse(args.couple)
     x = _load_payload(args.infile)
     couple_norms(couple, x)  # rejects a payload of the wrong shape or size

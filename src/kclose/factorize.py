@@ -25,6 +25,7 @@ import numpy as np
 
 from . import circle
 from .circle import CircleFunction
+from .kfunctional import require_member
 
 __all__ = [
     "BoundaryZeroWarning",
@@ -194,13 +195,8 @@ def _inner_outer_preamble(f: CircleFunction, name: str):
     eps_zero = 1e-12 * max|f|."""
     if not np.any(f.samples):
         raise ValueError(f"{name} expects a function that is not identically zero")
-    scale = float(np.abs(f.samples).max())
-    res = circle.analyticity_residual(f)
-    if res > 1e-8 * scale:
-        raise ValueError(
-            f"{name} expects an analytic function; negative-frequency mass {res:.3e}"
-        )
-    eps_zero = 1e-12 * scale
+    require_member("hardy", f.samples, f"{name} input")
+    eps_zero = 1e-12 * float(np.abs(f.samples).max())
     zeros = _polynomial_zeros(f)
     blaschke = BlaschkeProduct(zeros).boundary(f.n).samples
     return zeros, blaschke, np.maximum(np.abs(f.samples), eps_zero), eps_zero

@@ -34,6 +34,7 @@ from .kfunctional import (
     best_truncation_level,
     kt_bruteforce,
     make_decomposition,
+    require_member,
 )
 from .solver import AnalyticMask, VectorNorm, solve_distance, solve_minmax_distance
 
@@ -64,11 +65,8 @@ def decompose_base(f: CircleFunction, p0: float, p1: float, t: float) -> CoupleD
     couple = CoupleId("hardy", p0, p1)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
-    moduli = np.abs(f.samples)
-    res = circle.analyticity_residual(f)
-    if res > 1e-8 * moduli.max():
-        raise ValueError(f"decompose_base expects an analytic function (residual {res:.2e})")
-    lam, ambient_cost = best_truncation_level(moduli, 1.0 / f.n, p0, p1, t)
+    require_member("hardy", f.samples, "decompose_base input")
+    lam, ambient_cost = best_truncation_level(np.abs(f.samples), 1.0 / f.n, p0, p1, t)
     tall, _ = circle.truncate_at_level(f, lam)
     x0 = circle.riesz_project(tall).samples
     x1 = f.samples - x0

@@ -45,6 +45,10 @@ __all__ = [
 
 _KINDS = ("lebesgue", "sequence", "schatten", "hardy", "triangular")
 _SUBSPACE_OF = {"hardy": "lebesgue", "triangular": "schatten"}
+_SUBSPACE_NAME = {"hardy": "analytic", "triangular": "upper-triangular"}
+MEMBER_TOL = {"hardy": 1e-8, "triangular": 1e-10}  # see require_member
+# check_split's tolerances on reconstruction, membership and recorded cost
+REC_TOL, SPLIT_MEMBER_TOL, COST_TOL = 1e-8, 1e-6, 1e-10
 
 MAX_MATRIX = 16
 MAX_SEQUENCE = 4096
@@ -137,9 +141,38 @@ def _wrap_like(x, arr: np.ndarray):
     return arr.reshape(np.shape(x))
 
 
+def _membership_residual(kind: str, arr: np.ndarray) -> float:
+    """Negative-frequency coefficient mass along axis 0 (circle and
+    matrix-valued samples alike) for ``hardy``, the largest strictly lower
+    entry for ``triangular``, and 0 for the ambient kinds."""
+    if kind == "hardy":
+        return circle._negative_frequency_mass(np.fft.fft(arr, axis=0) / arr.shape[0])
+    if kind == "triangular":
+        n = int(round(np.sqrt(arr.size)))
+        return float(np.abs(np.tril(arr.reshape(n, n), -1)).max())
+    return 0.0
+
+
+def require_member(kind: str, arr, what: str) -> None:
+    """The one subspace-membership rule: raise ValueError unless ``arr``
+    lies in the analytic (``hardy``) or upper-triangular (``triangular``)
+    subspace, up to ``MEMBER_TOL[kind]`` relative to max(1, max|arr|)."""
+    arr = np.asarray(arr)
+    res = _membership_residual(kind, arr)
+    if res > MEMBER_TOL[kind] * max(1.0, float(np.abs(arr).max())):
+        raise ValueError(f"{what} must lie in the {_SUBSPACE_NAME[kind]} subspace (residual {res:.2e})")
+
+
 def couple_norms(couple: CoupleId, x):
-    """(norm0, norm1, mask) triple realising the couple on the payload of x."""
+    """(norm0, norm1, mask) triple realising the couple on the payload of x;
+    a payload of a subspace couple must pass :func:`require_member`."""
     arr = _payload_array(x)
+    if couple.kind == "sequence":
+        if arr.ndim != 1:
+            raise ValueError("sequence couples need one-dimensional arrays")
+        if arr.size > MAX_SEQUENCE:
+            raise ValueError(f"sequence length {arr.size} above {MAX_SEQUENCE}")
+        return VectorNorm(couple.p0, 1.0), VectorNorm(couple.p1, 1.0), None
     if couple.kind in ("lebesgue", "hardy"):
         if arr.ndim != 1:
             raise ValueError("circle couples need one-dimensional sample arrays")
@@ -147,21 +180,35 @@ def couple_norms(couple: CoupleId, x):
         circle._check_grid_size(n)
         if n > MAX_GRID:
             raise ValueError(f"grid size {n} above the supported bound {MAX_GRID}")
-        w = 1.0 / n
-        mask = AnalyticMask(n) if couple.kind == "hardy" else None
-        return VectorNorm(couple.p0, w), VectorNorm(couple.p1, w), mask
-    if couple.kind == "sequence":
-        if arr.ndim != 1:
-            raise ValueError("sequence couples need one-dimensional arrays")
-        if arr.size > MAX_SEQUENCE:
-            raise ValueError(f"sequence length {arr.size} above {MAX_SEQUENCE}")
-        return VectorNorm(couple.p0, 1.0), VectorNorm(couple.p1, 1.0), None
-    # matrix couples
-    n = _square_array(arr).shape[0]
-    if n > MAX_MATRIX:
-        raise ValueError(f"matrix size {n} above the supported bound {MAX_MATRIX}")
-    mask = TriangularMask(n) if couple.kind == "triangular" else None
-    return SchattenNorm(couple.p0, n), SchattenNorm(couple.p1, n), mask
+        norm0, norm1 = VectorNorm(couple.p0, 1.0 / n), VectorNorm(couple.p1, 1.0 / n)
+    else:  # matrix couples
+        n = _square_array(arr).shape[0]
+        if n > MAX_MATRIX:
+            raise ValueError(f"matrix size {n} above the supported bound {MAX_MATRIX}")
+        norm0, norm1 = SchattenNorm(couple.p0, n), SchattenNorm(couple.p1, n)
+    if not couple.has_subspace:
+        return norm0, norm1, None
+    require_member(couple.kind, arr, f"the payload of a {couple.kind} couple")
+    return norm0, norm1, AnalyticMask(n) if couple.kind == "hardy" else TriangularMask(n)
+
+
+def check_split(dec, x) -> bool:
+    """Re-verify a split certificate ``dec`` against the original element x:
+    x0 + x1 rebuilds x and the recorded membership residual is small, both
+    relative to max(1, max|x|), and the cost is norm0 + t*norm1.  Raises
+    AssertionError naming the first figure out of tolerance."""
+    arr = _payload_array(x)
+    scale = max(1.0, float(np.abs(arr).max()))
+    rec = float(np.abs(arr - (_payload_array(dec.x0) + _payload_array(dec.x1))).max())
+    if rec > REC_TOL * scale:
+        raise AssertionError(f"reconstruction residual {rec:.3e} above {REC_TOL:.1e}")
+    if dec.membership_residual > SPLIT_MEMBER_TOL * scale:
+        raise AssertionError(
+            f"membership residual {dec.membership_residual:.3e} above {SPLIT_MEMBER_TOL:.1e}"
+        )
+    if abs(dec.cost - (dec.norm0 + dec.t * dec.norm1)) > COST_TOL * max(1.0, dec.cost):
+        raise AssertionError("recorded cost is inconsistent with the recorded norms")
+    return True
 
 
 @dataclass
@@ -178,41 +225,14 @@ class CoupleDecomposition:
     membership_residual: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def reconstruction_residual(self, x) -> float:
-        a = _payload_array(x)
-        b = _payload_array(self.x0) + _payload_array(self.x1)
-        return float(np.abs(a - b).max())
-
-    def validate(self, x, rec_tol: float = 1e-8, mem_tol: float = 1e-6, cost_tol: float = 1e-10):
-        """Re-verify the certificate against the original element."""
-        scale = max(1.0, float(np.abs(_payload_array(x)).max()))
-        rec = self.reconstruction_residual(x)
-        if rec > rec_tol * scale:
-            raise AssertionError(f"reconstruction residual {rec:.3e} above {rec_tol:.1e}")
-        if self.membership_residual > mem_tol * scale:
-            raise AssertionError(
-                f"membership residual {self.membership_residual:.3e} above {mem_tol:.1e}"
-            )
-        if abs(self.cost - (self.norm0 + self.t * self.norm1)) > cost_tol * max(1.0, self.cost):
-            raise AssertionError("recorded cost is inconsistent with the recorded norms")
-        return True
-
-
-def _membership_residual(couple: CoupleId, arr: np.ndarray) -> float:
-    if couple.kind == "hardy":
-        return circle._negative_frequency_mass(np.fft.fft(arr) / arr.size)
-    if couple.kind == "triangular":
-        n = int(round(np.sqrt(arr.size)))
-        low = np.tril(arr.reshape(n, n), -1)
-        return float(np.abs(low).max())
-    return 0.0
+    validate = check_split
 
 
 def make_decomposition(couple: CoupleId, t: float, x, a0: np.ndarray, a1: np.ndarray, meta=None):
     """Package a raw split into a decomposition, recomputing all figures."""
     n0, n1, _ = couple_norms(couple, x)
     v0, v1 = n0.value(a0.ravel()), n1.value(a1.ravel())
-    mem = max(_membership_residual(couple, a0), _membership_residual(couple, a1))
+    mem = max(_membership_residual(couple.kind, a0), _membership_residual(couple.kind, a1))
     return CoupleDecomposition(
         couple=couple,
         t=t,
@@ -395,12 +415,7 @@ def jt(x, couple: CoupleId, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     arr = _payload_array(x).ravel()
-    n0, n1, mask = couple_norms(couple, x)
-    if mask is not None:
-        res = float(np.abs(mask.antiproject(arr)).max())
-        scale = max(1.0, float(np.abs(arr).max()))
-        if res > 1e-8 * scale:
-            raise ValueError("element lies outside the couple's subspace")
+    n0, n1, _ = couple_norms(couple, x)
     return max(n0.value(arr), t * n1.value(arr))
 
 

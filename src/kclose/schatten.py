@@ -29,11 +29,14 @@ from . import circle
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
+    _membership_residual,
     _square_array,
     best_truncation_level,
+    check_split,
     kt_bruteforce,
     kt_closed_form,
     make_decomposition,
+    require_member,
 )
 from .solver import (
     AnalyticMask,
@@ -111,12 +114,8 @@ def singular_values(x) -> np.ndarray:
 
 def schatten_norm(x, p: float) -> float:
     """l_p norm of the singular values (operator norm for p = inf)."""
-    s = singular_values(x)
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    return float(np.sum(s**p) ** (1.0 / p))
+    m = _square_array(x)
+    return SchattenNorm(p, m.shape[0]).value(m)
 
 
 def triangular_part(x):
@@ -130,13 +129,6 @@ def diagonal_part(x):
     m = _square_array(x)
     out = np.diag(np.diag(m))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
-
-
-def _check_triangular(m: np.ndarray, what: str, tol: float = 1e-10):
-    scale = max(1.0, float(np.abs(m).max()))
-    low = np.abs(np.tril(m, -1)).max() if m.shape[0] > 1 else 0.0
-    if low > tol * scale:
-        raise ValueError(f"{what} must be upper triangular (lower mass {low:.2e})")
 
 
 def _herm_power(m: np.ndarray, power: float) -> np.ndarray:
@@ -182,7 +174,7 @@ def triangular_factor(x, p: float, r: float, q: float) -> TriangularFactorizatio
     |x|^{p/r} and |x|^{p/q} up to unitary similarity.
     """
     m = _square_array(x)
-    _check_triangular(m, "triangular_factor input")
+    require_member("triangular", m, "triangular_factor input")
     s = np.linalg.svd(m, compute_uv=False)
     if s.size and s[-1] <= 1e-10 * s[0]:
         raise ValueError("matrix is numerically singular; factorization needs invertibility")
@@ -252,7 +244,7 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
     if not np.any(m):
         z = np.zeros_like(m)
         return make_decomposition(couple, t, x, z, z.copy())
-    _check_triangular(m, "decompose_t1_tq input")
+    require_member("triangular", m, "decompose_t1_tq input")
     if eps_reg is None:
         eps_reg = 1e-8 * schatten_norm(m, np.inf)
     absx = _herm_power(m.conj().T @ m, 0.5)
@@ -524,14 +516,7 @@ class MatrixValuedDecomposition:
     membership_residual: float
     meta: dict = field(default_factory=dict)
 
-    def validate(self, f: MatrixValuedFunction, rec_tol: float = 1e-8, mem_tol: float = 1e-6):
-        scale = max(1.0, float(np.abs(f.samples).max()))
-        rec = float(np.abs(self.x0.samples + self.x1.samples - f.samples).max())
-        if rec > rec_tol * scale:
-            raise AssertionError(f"reconstruction residual {rec:.3e}")
-        if self.membership_residual > mem_tol * scale:
-            raise AssertionError(f"membership residual {self.membership_residual:.3e}")
-        return True
+    validate = check_split
 
 
 def _mv_subspace_split(
@@ -586,9 +571,7 @@ def matrix_valued_split(
         return MatrixValuedDecomposition(exps, t, z, MatrixValuedFunction(np.zeros_like(sam)),
                                          0.0, 0.0, 0.0, 0.0,
                                          meta={"split_gaps": (0.0, 0.0, 0.0), "solver_converged": True})
-    res = f.analyticity_residual()
-    if res > 1e-6 * np.abs(sam).max():
-        raise ValueError(f"matrix_valued_split expects analytic input (residual {res:.2e})")
+    require_member("hardy", sam, "matrix_valued_split input")
     absf = np.stack([_herm_power(sam[i].conj().T @ sam[i], 0.5) for i in range(npts)])
     eps = max(1e-6, 1.01 * _interpolant_dip(absf))
     v = MatrixValuedFunction(absf + eps * np.eye(n))
@@ -607,10 +590,7 @@ def matrix_valued_split(
     x0 = leak.riesz_project().samples
     x1 = sam - x0
     v0, v1 = n0.value(x0.ravel()), n1.value(x1.ravel())
-    mem = max(
-        MatrixValuedFunction(x0).analyticity_residual(),
-        MatrixValuedFunction(x1).analyticity_residual(),
-    )
+    mem = max(_membership_residual("hardy", x0), _membership_residual("hardy", x1))
     return MatrixValuedDecomposition(
         exponents=exps,
         t=t,

@@ -417,8 +417,8 @@ class SplitProgram:
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=np.complex128).ravel()
-        if self.t <= 0:
-            raise ValueError(f"parameter t must be positive, got {self.t}")
+        if not 0 < self.t < np.inf:
+            raise ValueError(f"parameter t must be positive and finite, got {self.t}")
 
 
 @dataclass

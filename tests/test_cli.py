@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from kclose.circle import from_coeffs
+from kclose.circle import CircleFunction, from_coeffs
 from kclose.cli import main
 
 
@@ -21,6 +21,19 @@ def write_z2(tmp_path):
 def write_matrix(tmp_path):
     data = {"type": "matrix", "n": 2, "re": [[3.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def write_neg_harmonic(tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(CircleFunction.harmonic(-1, 16).to_json()))
+    return str(path)
+
+
+def write_full_matrix(tmp_path):
+    data = {"type": "matrix", "n": 2, "re": [[1.0, 2.0], [3.0, 4.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "full.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -216,12 +229,104 @@ def write_matrix_valued(tmp_path):
 @pytest.mark.parametrize("couple, payload", [
     ("h1,hinf", write_matrix), ("h1,h2", write_matrix), ("h2,h4", write_matrix),
     ("T1,T2", write_ramp8), ("h1,hinf", write_array8), ("L1,L2", write_matrix_valued),
+    ("h1,hinf", write_neg_harmonic), ("h2,h4", write_neg_harmonic),
 ])
 def test_decompose_mismatched_payload_exits_2(tmp_path, capsys, couple, payload):
     assert main(["decompose", "--couple", couple, "--t", "0.5", "--in", payload(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, couple, payload", [
+    ("kfunc", "h1,h2", write_neg_harmonic), ("decompose", "T1,Tinf", write_full_matrix),
+])
+def test_payload_outside_the_subspace_exits_2(tmp_path, capsys, command, couple, payload):
+    # K_t of a subspace couple is +inf off the subspace; no number may be printed
+    assert main([command, "--couple", couple, "--t", "1", "--in", payload(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "must lie in the" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["kfunc", "decompose"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"), ("--t", "nan"), ("--t", "inf"),
+])
+def test_non_finite_t_or_bad_tol_exits_2_at_once(tmp_path, capsys, command, flag, value):
+    # a NaN tol used to run the solver for seconds and print a value with no bracket warning
+    args = [command, "--couple", "L1,L2", "--t", "1", "--in", write_z2(tmp_path), flag, value]
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be") and captured.err.count("\n") == 1
+
+
+def test_kfunc_sequence_default_payload(capsys):
+    # without --in a sequence couple takes grid-n ones: K_2 of (1, inf) sums the two largest
+    assert main(["kfunc", "--couple", "seq1,seqinf", "--t", "2", "--grid-n", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "2.0"
+
+
+def test_factor_outer_of_unimodular_is_one(tmp_path, capsys):
+    assert main(["factor", "outer", "--in", write_z2(tmp_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "outer"
+    outer = np.asarray(data["outer"]["re"]) + 1j * np.asarray(data["outer"]["im"])
+    assert np.abs(outer - 1.0).max() < 1e-12
+
+
+def test_factor_holder_norms_multiply(tmp_path, capsys):
+    assert main(["factor", "holder", "--in", write_z2(tmp_path), "--p", "1", "--r", "2", "--s", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kind"] == "holder"
+    assert abs(data["norms"]["g_r"] * data["norms"]["h_s"] - data["norms"]["f_p"]) < 1e-12
+
+
+def test_factor_non_circle_payload_exits_2(tmp_path, capsys):
+    assert main(["factor", "sqrt", "--in", write_matrix(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: factor expects a circle-function payload\n"
+
+
+@pytest.mark.parametrize("couple, cost", [
+    ("h1,h2", None),  # the squaring route
+    ("h2,h4", None),  # the base split
+    ("L1,L2", 0.5),  # the solver: K_t of a unimodular function is min(1, t)
+])
+def test_decompose_routes(tmp_path, capsys, couple, cost):
+    path = write_z2(tmp_path)
+    assert main(["decompose", "--couple", couple, "--t", "0.5", "--in", path]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["couple"] == couple and body["membership_residual"] < 1e-8
+    x0 = np.asarray(body["x0"]["re"]) + 1j * np.asarray(body["x0"]["im"])
+    x1 = np.asarray(body["x1"]["re"]) + 1j * np.asarray(body["x1"]["im"])
+    f = CircleFunction.from_json(json.loads(open(path).read()))
+    assert np.abs(x0 + x1 - f.samples).max() < 1e-10
+    if cost is not None:
+        assert abs(body["cost"] - cost) < 1e-6
+
+
+def _write_summary(tmp_path, schema):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"schema": schema, "suite": "demo", "rows": 3, "c_estimate": 1.25,
+                                "max_residual": 1e-12, "violations": 0}))
+    return str(path)
+
+
+def test_report_reads_a_summary_file(tmp_path, capsys):
+    assert main(["report", _write_summary(tmp_path, 1)]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert last[:3] == ["demo", "3", "1.250000"]
+
+
+def test_report_unknown_schema_exits_2(tmp_path, capsys):
+    assert main(["report", _write_summary(tmp_path, 2)]) == 2
+    assert "unsupported summary schema" in capsys.readouterr().err
 
 
 def test_suite_runs_and_reports(tmp_path, capsys):

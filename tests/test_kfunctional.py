@@ -17,6 +17,7 @@ from kclose.kfunctional import (
     kt_closed_form,
     make_decomposition,
     real_interp_norm,
+    require_member,
 )
 from kclose.schatten import MatrixOperator, kt_schatten
 
@@ -167,6 +168,36 @@ def test_jt_rejects_nonmembers():
     f = CircleFunction.harmonic(-2, 16)
     with pytest.raises(ValueError):
         jt(f, CoupleId.parse("h1,h2"), 1.0)
+
+
+NON_MEMBERS = {
+    "h1,h2": lambda: CircleFunction.harmonic(-1, 16),
+    "T1,Tinf": lambda: MatrixOperator(np.array([[1.0, 2.0], [3.0, 4.0]])),
+}
+
+
+@pytest.mark.parametrize("couple", sorted(NON_MEMBERS))
+@pytest.mark.parametrize("route", [kt_bruteforce, kt_bracket], ids=["bruteforce", "bracket"])
+def test_k_routes_reject_nonmembers(couple, route):
+    # K_t of the subspace couple is +inf off the subspace, so no number may come back
+    with pytest.raises(ValueError, match="must lie in the"):
+        route(NON_MEMBERS[couple](), CoupleId.parse(couple), 1.0)
+
+
+@pytest.mark.parametrize("kind, arr, member", [
+    # the scale is max(1, max|x|): a residual of 1e-9 passes even when it is all of x
+    ("hardy", CircleFunction.harmonic(-1, 16).samples * 1e-9, True),
+    ("hardy", CircleFunction.harmonic(-1, 16).samples * 1e-7, False),
+    ("hardy", np.ones((8, 2, 2)) + 1e-7 * CircleFunction.harmonic(-1, 8).samples[:, None, None], False),
+    ("triangular", np.triu(np.ones((3, 3))) + np.diag([1e-11, 0.0], -1), True),
+    ("triangular", np.triu(np.ones((3, 3))) + np.diag([1e-9, 0.0], -1), False),
+])
+def test_require_member_is_one_rule_for_every_kind(kind, arr, member):
+    if member:
+        require_member(kind, arr, "x")
+    else:
+        with pytest.raises(ValueError, match="x must lie in the"):
+            require_member(kind, arr, "x")
 
 
 # ---------------------------------------------------------------------------
