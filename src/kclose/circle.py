@@ -216,8 +216,8 @@ def decreasing_value(r: Rearrangement, t: float) -> float:
     At a step boundary the value of the *next* step is used; beyond the
     total mass the rearrangement is zero.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     idx = int(np.floor(t / r.weight + 1e-15))
     if idx >= r.values.size:
         return 0.0

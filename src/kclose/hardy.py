@@ -60,8 +60,8 @@ def decompose_base(f: CircleFunction, p0: float, p1: float, t: float) -> CoupleD
         raise ValueError(
             f"base-case exponents must satisfy 1 < p0 < p1 < inf, got ({p0}, {p1})"
         )
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     couple = CoupleId("hardy", p0, p1)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
@@ -99,8 +99,8 @@ def decompose_h1_hq(f: CircleFunction, q: float, t: float) -> CoupleDecompositio
     q = float(q)
     if not (1.0 < q < np.inf):
         raise ValueError(f"q must lie strictly inside (1, inf), got {q}")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     couple = CoupleId("hardy", 1, q)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)
@@ -151,8 +151,8 @@ def decompose_h1_hinf(
     (2, inf) step of F supplied by the solver since the base case needs
     finite exponents; slower and looser, kept for studying the mechanism.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     couple = CoupleId("hardy", 1, np.inf)
     if not np.any(f.samples):
         return _zero_split(couple, t, f)

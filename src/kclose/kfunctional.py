@@ -163,16 +163,15 @@ def require_member(kind: str, arr, what: str) -> None:
         raise ValueError(f"{what} must lie in the {_SUBSPACE_NAME[kind]} subspace (residual {res:.2e})")
 
 
-def couple_norms(couple: CoupleId, x):
-    """(norm0, norm1, mask) triple realising the couple on the payload of x;
-    a payload of a subspace couple must pass :func:`require_member`."""
-    arr = _payload_array(x)
+def _norm_pair(couple: CoupleId, arr: np.ndarray):
+    """(norm0, norm1) realising the couple on arr after the shape and size
+    checks of :func:`couple_norms`, without its membership check or mask."""
     if couple.kind == "sequence":
         if arr.ndim != 1:
             raise ValueError("sequence couples need one-dimensional arrays")
         if arr.size > MAX_SEQUENCE:
             raise ValueError(f"sequence length {arr.size} above {MAX_SEQUENCE}")
-        return VectorNorm(couple.p0, 1.0), VectorNorm(couple.p1, 1.0), None
+        return VectorNorm(couple.p0, 1.0), VectorNorm(couple.p1, 1.0)
     if couple.kind in ("lebesgue", "hardy"):
         if arr.ndim != 1:
             raise ValueError("circle couples need one-dimensional sample arrays")
@@ -186,10 +185,18 @@ def couple_norms(couple: CoupleId, x):
         if n > MAX_MATRIX:
             raise ValueError(f"matrix size {n} above the supported bound {MAX_MATRIX}")
         norm0, norm1 = SchattenNorm(couple.p0, n), SchattenNorm(couple.p1, n)
+    return norm0, norm1
+
+
+def couple_norms(couple: CoupleId, x):
+    """(norm0, norm1, mask) triple realising the couple on the payload of x;
+    a payload of a subspace couple must pass :func:`require_member`."""
+    arr = _payload_array(x)
+    norm0, norm1 = _norm_pair(couple, arr)
     if not couple.has_subspace:
         return norm0, norm1, None
     require_member(couple.kind, arr, f"the payload of a {couple.kind} couple")
-    return norm0, norm1, AnalyticMask(n) if couple.kind == "hardy" else TriangularMask(n)
+    return norm0, norm1, AnalyticMask(arr.size) if couple.kind == "hardy" else TriangularMask(norm0.n)
 
 
 def check_split(dec, x) -> bool:
@@ -229,8 +236,10 @@ class CoupleDecomposition:
 
 
 def make_decomposition(couple: CoupleId, t: float, x, a0: np.ndarray, a1: np.ndarray, meta=None):
-    """Package a raw split into a decomposition, recomputing all figures."""
-    n0, n1, _ = couple_norms(couple, x)
+    """Package a raw split into a decomposition, recomputing all figures.
+    The caller has already admitted x to the couple, so its membership is
+    not checked again."""
+    n0, n1 = _norm_pair(couple, _payload_array(x))
     v0, v1 = n0.value(a0.ravel()), n1.value(a1.ravel())
     mem = max(_membership_residual(couple.kind, a0), _membership_residual(couple.kind, a1))
     return CoupleDecomposition(
@@ -257,8 +266,8 @@ def kt_closed_form(x, t: float, weight: float | None = None) -> float:
     values (taken with counting measure unless ``weight`` is given).  Other
     exponent pairs have no closed form here; use :func:`kt_bruteforce`.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if isinstance(x, CircleFunction):
         r = circle.rearrange(x)
     elif isinstance(x, Rearrangement):
@@ -412,8 +421,8 @@ def kt_bracket(x, couple: CoupleId, t: float, tol: float = 1e-7):
 
 def jt(x, couple: CoupleId, t: float) -> float:
     """J-functional max(||x||_0, t*||x||_1) for elements of the intersection."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     arr = _payload_array(x).ravel()
     n0, n1, _ = couple_norms(couple, x)
     return max(n0.value(arr), t * n1.value(arr))

@@ -197,8 +197,8 @@ def triangular_factor(x, p: float, r: float, q: float) -> TriangularFactorizatio
 
 def kt_schatten(x, p0: float, p1: float, t: float, tol: float = 1e-9) -> float:
     """K_t for the Schatten couple via the singular-value sequence."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     s = singular_values(x)
     if not np.any(s):
         return 0.0
@@ -236,8 +236,8 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
     q = float(q)
     if not (1.0 < q < np.inf):
         raise ValueError(f"q must lie strictly inside (1, inf), got {q}")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     m = _square_array(x)
     n = m.shape[0]
     couple = CoupleId("triangular", 1, q)
@@ -557,8 +557,8 @@ def matrix_valued_split(
     """
     if f.matdim > 8 or f.npoints > 32:
         raise ValueError("matrix-valued splits support matdim <= 8 and npoints <= 32")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     exps = (float(p0), float(q0), float(p1), float(q1))
     if exps != (1.0, 1.0, np.inf, np.inf):
         raise ValueError(f"supported exponent quadruple is (1,1,inf,inf); got {exps}")

@@ -55,6 +55,9 @@ it: ``SchattenNorm`` on one matrix's singular values, ``MixedNorm`` (L^p(C_p),
 p in {1, 2, inf}) on a grid of matrices.  Each gives its value, dual value and
 dual-ball projection; the min-max program also needs the epigraph-cone
 projection, which ``VectorNorm`` and ``SchattenNorm`` give for p in {1, inf}.
+Both run the scans ``_cone_level_inf`` and ``_cone_multiplier_l1`` on a
+descending list of Python floats; ``SchattenNorm`` hands them its singular
+values as the SVD returns them.
 """
 
 from __future__ import annotations
@@ -196,6 +199,42 @@ def _project_lp_ball(m: np.ndarray, p: float, radius: float) -> np.ndarray:
     return out
 
 
+# The epigraph-cone scans run on Python floats: a scan stops at the first
+# feasible piece k, before a vectorised test would pay off on these few
+# entries.  The min-max iteration counts depend on their results to the last
+# bit: keep the sequential running sum and the operand order.  The 1e-15
+# slack and the fallthrough absorb rounding at the piece boundaries.
+
+
+def _cone_level_inf(u: list, h: float) -> float:
+    """Level s of the l^inf cone projection of (u, h), u descending: the
+    minimiser of sum (u_i - s)_+^2 + (s - h)^2, solved piecewise over s."""
+    n, cum = len(u), 0.0
+    for k in range(n + 1):
+        s = (h + cum) / (1.0 + k)
+        lo = u[k] if k < n else 0.0
+        hi = u[k - 1] if k else np.inf
+        if lo - 1e-15 <= s <= hi + 1e-15:
+            return max(s, lo, 0.0)
+        if k < n:
+            cum += u[k]
+    return max((h + cum) / (1.0 + n), 0.0)
+
+
+def _cone_multiplier_l1(u: list, h: float, wgt: float) -> float:
+    """KKT multiplier lam of the weighted l^1 cone projection of (u, h), u
+    descending: z = (u - lam*wgt)_+ and s = h + lam with wgt*sum(z) = s."""
+    n, cum = len(u), 0.0
+    for k in range(1, n + 1):
+        cum += u[k - 1]
+        lam = (wgt * cum - h) / (1.0 + k * wgt * wgt)
+        hi = u[k - 1] / wgt
+        lo = u[k] / wgt if k < n else 0.0
+        if lo - 1e-15 <= lam <= hi + 1e-15 and lam >= 0:
+            return lam
+    return max((wgt * cum - h) / (1.0 + n * wgt * wgt), 0.0)
+
+
 class VectorNorm:
     """(weight * sum |v_i|^p)^(1/p) on flat complex arrays; p = inf is max.
 
@@ -251,39 +290,12 @@ class VectorNorm:
             return np.zeros_like(w), 0.0
         m, ph = _moduli_phases(w)
         if self.p == np.inf:
-            # minimise sum (m_i - s)_+^2 + (s - h)^2 piecewise over s
-            u = np.sort(m)[::-1]
-            cum = np.cumsum(u)
-            best = None
-            for k in range(m.size + 1):
-                s = (h + (cum[k - 1] if k else 0.0)) / (1.0 + k)
-                lo = u[k] if k < m.size else 0.0
-                hi = u[k - 1] if k else np.inf
-                if lo - 1e-15 <= s <= hi + 1e-15:
-                    best = max(s, lo, 0.0)
-                    break
-            if best is None:  # numerical fallthrough; clamp at the end
-                best = max((h + cum[-1]) / (1.0 + m.size), 0.0)
-            z = np.minimum(m, best)
-            return ph * z, float(best)
+            level = _cone_level_inf(np.sort(m)[::-1].tolist(), h)
+            return ph * np.minimum(m, level), float(level)
         if self.p == 1:
-            # KKT: z = (m - lam*w)_+, s = h + lam with w*sum(z) = s
             wgt = self.weight
-            order = np.argsort(-m / wgt)
-            bp = m[order] / wgt
-            cum = np.cumsum(m[order])
-            best = None
-            for k in range(1, m.size + 1):
-                lam = (wgt * cum[k - 1] - h) / (1.0 + k * wgt * wgt)
-                hi = bp[k - 1]
-                lo = bp[k] if k < m.size else 0.0
-                if lo - 1e-15 <= lam <= hi + 1e-15 and lam >= 0:
-                    best = lam
-                    break
-            if best is None:
-                best = max((wgt * cum[-1] - h) / (1.0 + m.size * wgt * wgt), 0.0)
-            z = np.maximum(m - best * wgt, 0.0)
-            return ph * z, float(h + best)
+            lam = _cone_multiplier_l1(m[np.argsort(-m / wgt)].tolist(), h, wgt)
+            return ph * np.maximum(m - lam * wgt, 0.0), float(h + lam)
         raise NotImplementedError(f"cone projection not provided for p={self.p}")
 
 
@@ -311,9 +323,26 @@ class SchattenNorm:
         return ((u * self._vec.project_dual_ball(s, radius)) @ vh).ravel()
 
     def cone_project(self, w: np.ndarray, h: float):
+        """The singular values are already real, nonnegative and descending:
+        the exits read s[0] and s.sum() and the scans take s as it is.  Every
+        branch rebuilds the matrix from the SVD, as w itself differs from it
+        in the last bits."""
+        if self.p not in (1.0, np.inf):
+            raise NotImplementedError(f"cone projection not provided for p={self.p}")
         u, s, vh = self._svd(w)
-        s2, hh = self._vec.cone_project(s, h)
-        return ((u * s2) @ vh).ravel(), hh
+        top, total = float(s[0]), float(s.sum())
+        value, dual = (top, total) if self.p == np.inf else (total, top)
+        if value <= h:
+            s2, level = s, float(h)
+        elif dual <= -h:
+            s2, level = np.zeros_like(s), 0.0
+        elif self.p == np.inf:
+            level = float(_cone_level_inf(s.tolist(), h))
+            s2 = np.minimum(s, level)
+        else:
+            lam = _cone_multiplier_l1(s.tolist(), h, 1.0)
+            s2, level = np.maximum(s - lam, 0.0), float(h + lam)
+        return ((u * s2) @ vh).ravel(), level
 
 
 class MixedNorm:

@@ -79,6 +79,19 @@ def test_base_case_rejects_bad_inputs():
         hardy.decompose_base(CircleFunction.harmonic(-3, 16), 1.5, 4.0, 1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda f, t: hardy.decompose_base(f, 1.5, 4.0, t),
+    lambda f, t: hardy.decompose_h1_hq(f, 2.0, t),
+    lambda f, t: hardy.decompose_h1_hinf(f, t),
+], ids=["decompose_base", "decompose_h1_hq", "decompose_h1_hinf"])
+def test_decompositions_reject_non_finite_t(entry, t):
+    # a NaN t passes a sign test: decompose_base and decompose_h1_hq returned
+    # a split of cost nan, decompose_h1_hinf failed only inside the solver
+    with pytest.raises(ValueError, match="finite"):
+        entry(rand_analytic(16, 3), t)
+
+
 def test_base_case_zero_function():
     z = CircleFunction(np.zeros(16, dtype=np.complex128))
     dec = hardy.decompose_base(z, 1.5, 4.0, 1.0)

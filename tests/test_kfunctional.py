@@ -170,6 +170,18 @@ def test_jt_rejects_nonmembers():
         jt(f, CoupleId.parse("h1,h2"), 1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda f, t: jt(f, CoupleId.parse("L1,L2"), t),
+    kt_closed_form,
+], ids=["jt", "kt_closed_form"])
+def test_entries_reject_non_finite_t(entry, t):
+    # a NaN t passes a sign test: jt returned ||f||_1 and kt_closed_form
+    # failed converting NaN to an integer
+    with pytest.raises(ValueError, match="finite"):
+        entry(CircleFunction(np.arange(1.0, 9.0)), t)
+
+
 NON_MEMBERS = {
     "h1,h2": lambda: CircleFunction.harmonic(-1, 16),
     "T1,Tinf": lambda: MatrixOperator(np.array([[1.0, 2.0], [3.0, 4.0]])),

@@ -235,6 +235,20 @@ def test_decompose_triangular_rejects_bad_inputs():
         decompose_t1_tq(rand_mat(3, 19), 2.0, 1.0)  # not triangular
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda t: decompose_t1_tq(rand_tri(3, 19), 2.0, t),
+    lambda t: kt_schatten(rand_mat(3, 19), 1, np.inf, t),
+    lambda t: matrix_valued_split(MatrixValuedFunction(np.ones((8, 2, 2), dtype=np.complex128)),
+                                  1, 1, np.inf, np.inf, t),
+], ids=["decompose_t1_tq", "kt_schatten", "matrix_valued_split"])
+def test_matrix_entries_reject_non_finite_t(entry, t):
+    # a NaN t passes a sign test: decompose_t1_tq returned a split of cost nan,
+    # matrix_valued_split failed only inside the solver
+    with pytest.raises(ValueError, match="finite"):
+        entry(t)
+
+
 # ---------------------------------------------------------------------------
 # distances to the triangular algebra
 

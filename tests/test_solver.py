@@ -235,6 +235,85 @@ def test_cone_projection_feasible_fixed_and_closest(p, kind):
             assert all(d <= _cone_dist(w, h, c, c_s) + 1e-9 for c, c_s in samples)
 
 
+def _reference_vector_cone(p, wgt, w, h):
+    """The numpy-loop epigraph-cone projection the scalar scans replaced,
+    kept as their bitwise reference; also names the branch taken."""
+    nrm = VectorNorm(p, wgt)
+    if nrm.value(w) <= h:
+        return w.copy(), float(h), "inside"
+    if nrm.dual_value(w) <= -h:
+        return np.zeros_like(w), 0.0, "polar"
+    m = np.abs(w)
+    ph = np.divide(w, m, out=np.ones_like(w), where=m > 0)
+    best = None
+    if p == np.inf:
+        u = np.sort(m)[::-1]
+        cum = np.cumsum(u)
+        for k in range(m.size + 1):
+            s = (h + (cum[k - 1] if k else 0.0)) / (1.0 + k)
+            lo = u[k] if k < m.size else 0.0
+            hi = u[k - 1] if k else np.inf
+            if lo - 1e-15 <= s <= hi + 1e-15:
+                best = max(s, lo, 0.0)
+                break
+        if best is None:
+            best = max((h + cum[-1]) / (1.0 + m.size), 0.0)
+        return ph * np.minimum(m, best), float(best), "scan"
+    order = np.argsort(-m / wgt)
+    bp = m[order] / wgt
+    cum = np.cumsum(m[order])
+    for k in range(1, m.size + 1):
+        lam = (wgt * cum[k - 1] - h) / (1.0 + k * wgt * wgt)
+        hi = bp[k - 1]
+        lo = bp[k] if k < m.size else 0.0
+        if lo - 1e-15 <= lam <= hi + 1e-15 and lam >= 0:
+            best = lam
+            break
+    if best is None:
+        best = max((wgt * cum[-1] - h) / (1.0 + m.size * wgt * wgt), 0.0)
+    return ph * np.maximum(m - best * wgt, 0.0), float(h + best), "scan"
+
+
+def _reference_schatten_cone(p, n, w, h):
+    u, s, vh = np.linalg.svd(w.reshape(n, n))
+    s2, level, branch = _reference_vector_cone(p, 1.0, s, h)
+    return ((u * s2) @ vh).ravel(), level, branch
+
+
+@pytest.mark.parametrize("p", [1.0, np.inf])
+@pytest.mark.parametrize("weight", [1.0, 1.0 / 16, 1.0 / 3, "schatten"])
+def test_cone_scans_match_the_numpy_reference_bitwise(p, weight):
+    # the pinned min-max iteration counts rest on these projections to the last bit
+    rng = np.random.default_rng(73)
+    seen = set()
+    for i in range(300):
+        if weight == "schatten":
+            n = int(rng.integers(2, 6))
+            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if i % 5 == 1:  # a zero singular value
+                w[:, 0] = w[:, 1:] @ rng.standard_normal(n - 1)
+            elif i % 5 == 2:  # tied singular values
+                w = np.diag(rng.choice([1.0, 2.0], n) * np.exp(2j * np.pi * rng.random(n)))
+            w = w.ravel()
+            nrm = SchattenNorm(p, n)
+            ref = lambda w, h: _reference_schatten_cone(p, n, w, h)  # noqa: E731
+        else:
+            size = int(rng.integers(3, 33))
+            w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            if i % 5 == 1:  # zero entries
+                w[: size // 2] = 0.0
+            elif i % 5 == 2:  # tied moduli
+                w = np.round(2.0 * w.real) / 2.0 + 0j
+            nrm = VectorNorm(p, weight)
+            ref = lambda w, h: _reference_vector_cone(p, weight, w, h)  # noqa: E731
+        c = rng.choice([-2.0, -0.5, 0.0, 0.3, 0.7, 1.5])  # -2 and 1.5 take the exits
+        h = c * (nrm.value(w) if c >= 0 else nrm.dual_value(w))
+        want, got = ref(w, h), nrm.cone_project(w, h)
+        seen.add(want[2])
+        assert got[0].tobytes() == want[0].tobytes() and type(got[1]) is float and got[1] == want[1]
+    assert seen == {"inside", "polar", "scan"}
+
+
 # The whole (p, q) table. MixedNorm builds only the p = q pairs; each
 # test below checks that it refuses the others.
 MIXED_PAIRS = [(1, 1), (1, 2), (1, np.inf), (2, 2), (np.inf, 2), (np.inf, np.inf)]
