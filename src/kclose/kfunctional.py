@@ -4,9 +4,9 @@ A couple is identified by a kind -- ``lebesgue`` (circle grid), ``sequence``
 (counting measure), ``schatten`` (matrices), ``hardy`` (analytic subspace of
 the grid) or ``triangular`` (upper-triangular subspace of matrices) -- plus
 an exponent pair.  K_t values come from :func:`kt_bracket`, the one place
-that chooses between the exact rearrangement formula (ambient couples with
-exponents (1, inf)) and the convex solver, which always returns a
-primal/dual sandwich so the reported number carries its own error bar.
+that chooses between the rearrangement formula (ambient (1, inf) couples)
+and the convex solver, whose primal/dual sandwich is the reported number's
+error bar; for p0 = 1 it first tries the exact ambient clip split.
 """
 
 from __future__ import annotations
@@ -188,14 +188,21 @@ def _norm_pair(couple: CoupleId, arr: np.ndarray):
     return norm0, norm1
 
 
+def _admit(couple: CoupleId, arr: np.ndarray):
+    """:func:`_norm_pair` after the membership check of a subspace couple."""
+    norms = _norm_pair(couple, arr)
+    if couple.has_subspace:
+        require_member(couple.kind, arr, f"the payload of a {couple.kind} couple")
+    return norms
+
+
 def couple_norms(couple: CoupleId, x):
     """(norm0, norm1, mask) triple realising the couple on the payload of x;
     a payload of a subspace couple must pass :func:`require_member`."""
     arr = _payload_array(x)
-    norm0, norm1 = _norm_pair(couple, arr)
+    norm0, norm1 = _admit(couple, arr)
     if not couple.has_subspace:
         return norm0, norm1, None
-    require_member(couple.kind, arr, f"the payload of a {couple.kind} couple")
     return norm0, norm1, AnalyticMask(arr.size) if couple.kind == "hardy" else TriangularMask(norm0.n)
 
 
@@ -319,35 +326,59 @@ def best_truncation_level(values: np.ndarray, weight: float, p0: float, p1: floa
     return best_level, best_cost
 
 
-def _clip_level_and_weights(values: np.ndarray, weight: float, t: float):
-    """Clip level and dual weights mu of the optimal (1, inf) split at t:
-    ``weight`` on each largest value up to mass t, the remainder on the next."""
-    order = np.argsort(-values, kind="stable")
-    full = int(np.floor(t / weight))
-    level = values[order[full]] if full < values.size else 0.0
-    mu = np.zeros(values.size)
-    mu[order[: min(full, values.size)]] = weight
-    if full < values.size:
-        mu[order[full]] = t - full * weight
-    return level, mu
+def _clip_level_and_weights(values: np.ndarray, weight: float, q: float, t: float):
+    """Clip level and dual weights mu of the optimal ambient (1, q) split at t:
+    mu maximises sum(mu * values) over 0 <= mu <= weight, ||mu||_q' <= t*weight^(1/q).
+    At q = inf, ``weight`` on each largest value up to mass t, the rest on the
+    next.  Below, weight * min(1, (values/level)^(q-1)): the level has a closed
+    form once the values it caps are known, and the first count of largest
+    values whose level caps no further one is right; inf if none is capped."""
+    if q == np.inf:
+        order = np.argsort(-values, kind="stable")
+        full = int(np.floor(t / weight))
+        level = values[order[full]] if full < values.size else 0.0
+        mu = np.zeros(values.size)
+        mu[order[: min(full, values.size)]] = weight
+        if full < values.size:
+            mu[order[full]] = t - full * weight
+        return level, mu
+    qc = q / (q - 1.0)
+    rho = t * weight ** (-1.0 / qc)  # ||mu / weight||_q' <= rho; values in units of the top
+    nz = int(np.count_nonzero(values))
+    if nz ** (1.0 / qc) <= rho:  # every nonzero value capped: x0 = x
+        return 0.0, np.where(values > 0, weight, 0.0)
+    top = float(values.max())
+    u = np.sort(values)[::-1][:nz] / top
+    tail = np.cumsum((u**q)[::-1])[::-1]  # sum of u_i^q over i >= k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (np.maximum(rho**qc - np.arange(nz), 0.0) / tail) ** (1.0 / qc)
+        c[0] = rho / tail[0] ** (1.0 / qc)
+        fits = np.flatnonzero(c * u ** (q - 1.0) <= 1.0)
+    k = fits[0] if fits.size else nz - 1
+    level = top * c[k] ** (-1.0 / (q - 1.0)) if k else np.inf
+    return level, weight * np.minimum(1.0, c[k] * (values / top) ** (q - 1.0))
 
 
-def _warm_start_l1_linf(arr: np.ndarray, norm0, t: float):
-    """Exact optimal split and dual witness for the ambient (1, inf) couple:
-    clip the moduli under ``norm0.weight``, or the singular values."""
-    if isinstance(norm0, SchattenNorm):
-        m = arr.reshape(norm0.n, norm0.n)
-        u, s, vh = np.linalg.svd(m)
-        level, mu = _clip_level_and_weights(s, 1.0, t)
-        x1 = (u * np.minimum(s, level)) @ vh
-        z = ((u * mu) @ vh).ravel()
-        return (m - x1).ravel(), (z, -z)
-    moduli = np.abs(arr)
-    level, mu = _clip_level_and_weights(moduli, norm0.weight, t)
-    safe = np.where(moduli > 0, moduli, 1.0)
-    x1 = arr * np.where(moduli > 0, np.minimum(moduli, level) / safe, 0.0)
-    z = np.where(moduli > 0, arr / safe, 1.0) * mu
-    return arr - x1, (z, -z)
+def _clip_split(arr: np.ndarray, norm0, norm1, t: float):
+    """Exact optimal split and witness ``(x0, (z, -z))`` of an ambient (1, q)
+    couple, 1 < q <= inf: clip the moduli under ``norm0.weight``, or the
+    singular values of one matrix (``SchattenNorm``, weight 1) or of all
+    ``MixedNorm`` grid points at once (weight 1/npoints)."""
+    q = norm1.p
+    if isinstance(norm0, VectorNorm):
+        moduli = np.abs(arr)
+        level, mu = _clip_level_and_weights(moduli, norm0.weight, q, t)
+        safe = np.where(moduli > 0, moduli, 1.0)
+        x1 = arr * np.where(moduli > 0, np.minimum(moduli, level) / safe, 0.0)
+        z = np.where(moduli > 0, arr / safe, 1.0) * mu
+        return arr - x1, (z, -z)
+    npts = getattr(norm0, "npoints", 1)  # MixedNorm, else one matrix
+    m = arr.reshape(npts, norm0.n, norm0.n)
+    u, s, vh = np.linalg.svd(m)
+    level, mu = _clip_level_and_weights(s.ravel(), 1.0 / npts, q, t)
+    x1 = (u * np.minimum(s, level)[:, None, :]) @ vh
+    z = ((u * mu.reshape(s.shape)[:, None, :]) @ vh).ravel()
+    return (m - x1).ravel(), (z, -z)
 
 
 @dataclass
@@ -368,21 +399,23 @@ def kt_bruteforce(
     t: float,
     tol: float = 1e-7,
     max_iter: int = 200_000,
+    norms=None,
 ) -> BruteForceResult:
     """K_t as a convex program over splits, certified by a feasible dual point.
 
-    A (1, inf) couple, masked or not, hands ``solve_split`` the ambient
-    optimum and its witness (z, -z) from ``_warm_start_l1_linf``.  Where the
-    ambient optimum lies in the couple's subspace (always without a mask;
-    for the analytic mask at t >= 1 and t < 1/N) the witness certifies it at
-    0 iterations; elsewhere the solver iterates from a zero dual.
+    Every couple with p0 = 1, masked or not, hands ``solve_split`` the
+    ambient optimum and its witness (z, -z) from :func:`_clip_split`.  Where
+    it lies in the couple's subspace (always without a mask; for the
+    analytic (1, inf) mask at t >= 1 and t < 1/N) the witness certifies it
+    at 0 iterations; elsewhere the solver iterates from its projection.
+    ``norms`` is ``couple_norms(couple, x)`` where the caller has it already.
     """
     arr = _payload_array(x).ravel()
-    n0, n1, mask = couple_norms(couple, x)
+    n0, n1, mask = norms or couple_norms(couple, x)
     prog = SplitProgram(arr, n0, n1, t, subspace=mask)
     warm_primal = warm_dual = None
-    if couple.p0 == 1 and couple.p1 == np.inf:
-        warm_primal, warm_dual = _warm_start_l1_linf(arr, n0, t)
+    if couple.p0 == 1:
+        warm_primal, warm_dual = _clip_split(arr, n0, n1, t)
     cert = solve_split(prog, tol=tol, max_iter=max_iter, warm_primal=warm_primal, warm_dual=warm_dual)
     dec = make_decomposition(couple, t, x, cert.x0, cert.x1, meta={
         "gap": cert.gap,
@@ -399,23 +432,24 @@ def kt_bruteforce(
     )
 
 
-def kt_bracket(x, couple: CoupleId, t: float, tol: float = 1e-7):
+def kt_bracket(x, couple: CoupleId, t: float, tol: float = 1e-7, norms=None):
     """Certified bracket ``(lower, value)`` with lower <= K_t <= value.
 
     The one place that picks the closed form or the solver.  Ambient
     (1, inf) couples are exact, ``(k, k)``: the rearrangement integral of
     the payload under the couple's measure, or of the singular values for
-    ``schatten``.  Every other couple takes :func:`kt_bruteforce`'s sandwich.
+    ``schatten``.  Every other couple takes :func:`kt_bruteforce`'s sandwich
+    (exact for the other ambient p0 = 1 couples), with ``norms`` as there.
     """
-    n0, _, _ = couple_norms(couple, x)
+    norms = norms or couple_norms(couple, x)
     if couple.p0 == 1 and couple.p1 == np.inf and not couple.has_subspace:
         arr = _payload_array(x)
         if couple.kind == "schatten":
             k = kt_closed_form(np.linalg.svd(arr, compute_uv=False), t, weight=1.0)
         else:
-            k = kt_closed_form(arr, t, weight=n0.weight)
+            k = kt_closed_form(arr, t, weight=norms[0].weight)
         return k, k
-    res = kt_bruteforce(x, couple, t, tol=tol)
+    res = kt_bruteforce(x, couple, t, tol=tol, norms=norms)
     return res.lower, res.value
 
 
@@ -423,9 +457,9 @@ def jt(x, couple: CoupleId, t: float) -> float:
     """J-functional max(||x||_0, t*||x||_1) for elements of the intersection."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    arr = _payload_array(x).ravel()
-    n0, n1, _ = couple_norms(couple, x)
-    return max(n0.value(arr), t * n1.value(arr))
+    arr = _payload_array(x)
+    n0, n1 = _admit(couple, arr)
+    return max(n0.value(arr.ravel()), t * n1.value(arr.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +502,10 @@ def real_interp_norm(
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    ks = np.array([kt_bracket(x, couple, t, tol=tol)[1] for t in t_grid])
+    norms = couple_norms(couple, x)
+    ks = np.array([kt_bracket(x, couple, t, tol=tol, norms=norms)[1] for t in t_grid])
     arr = _payload_array(x).ravel()
-    n0, n1, _ = couple_norms(couple, x)
+    n0, n1, _ = norms
     a0, a1 = n0.value(arr), n1.value(arr)
     t_min, t_max = float(t_grid[0]), float(t_grid[-1])
     if q == np.inf:

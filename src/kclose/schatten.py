@@ -29,6 +29,7 @@ from . import circle
 from .kfunctional import (
     CoupleDecomposition,
     CoupleId,
+    _clip_split,
     _membership_residual,
     _square_array,
     best_truncation_level,
@@ -621,7 +622,9 @@ def ambient_mixed_kt(
     tol: float = 1e-7,
     max_iter: int = 200_000,
 ):
-    """Ambient (unrestricted) mixed-norm K_t by the convex solver."""
+    """Ambient (unrestricted) mixed-norm K_t as a solver certificate: for
+    p0 = 1 the warm pair is the exact clip of all the grid's singular values
+    (:func:`_clip_split`), certified at 0 iterations; else a cold solve."""
     npts, n = f.npoints, f.matdim
     prog = SplitProgram(
         f.samples.ravel(),
@@ -629,4 +632,5 @@ def ambient_mixed_kt(
         MixedNorm(p1, q1, npts, n),
         t,
     )
-    return solve_split(prog, tol=tol, max_iter=max_iter)
+    warm_primal, warm_dual = _clip_split(prog.target, prog.norm0, prog.norm1, t) if p0 == 1 else (None, None)
+    return solve_split(prog, tol=tol, max_iter=max_iter, warm_primal=warm_primal, warm_dual=warm_dual)

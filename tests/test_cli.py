@@ -133,12 +133,26 @@ def test_kfunc_wide_bracket_warns(tmp_path, capsys, t):
     # at tiny t the gap test gap <= tol * max(1, primal) is absolute, so the
     # solve stops with a bracket far wider than tol relative to K_t
     start = time.perf_counter()
-    assert main(["kfunc", "--couple", "seq1,seq1.5", "--t", str(t), "--in", write_array8(tmp_path)]) == 0
+    assert main(["kfunc", "--couple", "seq2,seq4", "--t", str(t), "--in", write_array8(tmp_path)]) == 0
     assert time.perf_counter() - start < 10.0
     captured = capsys.readouterr()
     assert float(captured.out) > 0.0
     assert captured.err.startswith("warning: certified bracket")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("couple", ["seq1,seq1.5", "seq1,seq2"])
+@pytest.mark.parametrize("t", [1e-30, 1e30])
+def test_kfunc_l1_couple_is_exact_at_extreme_t(tmp_path, capsys, couple, t):
+    # the certified clip split: t*||x||_q at tiny t, ||x||_1 = 36 at huge t
+    start = time.perf_counter()
+    assert main(["kfunc", "--couple", couple, "--t", str(t), "--in", write_array8(tmp_path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    q = float(couple.split("seq")[-1])
+    exact = t * float(np.sum(np.arange(1.0, 9.0) ** q) ** (1.0 / q)) if t < 1 else 36.0
+    assert float(captured.out) == pytest.approx(exact, rel=1e-7, abs=0.0)
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("couple, t, payload", [

@@ -236,6 +236,39 @@ def test_bruteforce_decomposition_is_feasible():
     assert circle.analyticity_residual(res.decomposition.x0) < 1e-8
 
 
+@pytest.mark.parametrize("couple", ["h1,hinf", "T1,T2"])
+def test_subspace_couple_is_resolved_once_per_call(monkeypatch, couple):
+    # one membership check and one mask per kt_bracket or real_interp_norm
+    # call, and no mask for jt
+    from kclose import kfunctional, solver
+
+    counts = {"member": 0, "mask": 0}
+    check = kfunctional.require_member
+
+    def counted_check(*args):
+        counts["member"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(kfunctional, "require_member", counted_check)
+    for cls in (solver.AnalyticMask, solver.TriangularMask):
+        def counted_init(self, *args, _init=cls.__init__):
+            counts["mask"] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    c = CoupleId.parse(couple)
+    if c.kind == "hardy":
+        x = rand_analytic(16, 5)
+    else:
+        x = MatrixOperator(np.triu(rand_circle(16, 6).samples.reshape(4, 4)))
+    kt_bracket(x, c, 3.0)
+    assert counts == {"member": 1, "mask": 1}
+    real_interp_norm(x, c, 0.5, 2.0, t_grid=[2.0, 3.0, 4.0])
+    assert counts == {"member": 2, "mask": 2}
+    jt(x, c, 1.0)
+    assert counts == {"member": 3, "mask": 2}
+
+
 # ---------------------------------------------------------------------------
 # interpolation norm
 

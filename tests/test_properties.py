@@ -1,11 +1,14 @@
-"""Property tests of the masked (H^1, H^inf) split on small grids."""
+"""Property tests of the masked (H^1, H^inf) split on small grids, and of
+the exact ambient (1, q) split that certifies itself before any iteration."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kclose import circle
-from kclose.kfunctional import CoupleId, kt_bruteforce, kt_closed_form
+from kclose import circle, schatten
+from kclose.kfunctional import CoupleId, _clip_split, couple_norms, kt_bruteforce, kt_closed_form
+from kclose.solver import MixedNorm, SplitProgram, solve_split
 
 TOL = 1e-7
 H1_HINF = CoupleId("hardy", 1, np.inf)
@@ -82,3 +85,75 @@ def test_masked_split_bracket_is_concave_in_t(n, coeffs, fracs, lam):
     a, b, mid = (kt_bruteforce(f, H1_HINF, t, tol=TOL) for t in (ta, tb, (1.0 - lam) * ta + lam * tb))
     chord = (1.0 - lam) * a.value + lam * b.value
     assert mid.lower >= chord - 2.0 * TOL * max(1.0, mid.value, a.value, b.value)
+
+
+# ---------------------------------------------------------------------------
+# the ambient (1, q) clip split: kt_bruteforce and ambient_mixed_kt certify it
+# at 0 iterations, inside a cold solve's bracket, from its witness alone
+
+CLIP_KINDS = ("sequence", "lebesgue", "schatten", "mixed")
+CLIP_SHAPES = {"sequence": (8,), "lebesgue": (16,), "schatten": (3, 3), "mixed": (8, 2, 2)}
+
+
+def _check_clip_route(kind, q, x, t):
+    if kind == "mixed":
+        npts, n = x.shape[:2]
+        prog = SplitProgram(x, MixedNorm(1, 1, npts, n), MixedNorm(q, q, npts, n), t)
+        cert = schatten.ambient_mixed_kt(schatten.MatrixValuedFunction(x), 1, 1, q, q, t)
+    else:
+        couple = CoupleId(kind, 1, q)
+        n0, n1, _ = couple_norms(couple, x)
+        prog = SplitProgram(x, n0, n1, t)
+        warm_primal, warm_dual = _clip_split(prog.target, n0, n1, t)
+        cert = solve_split(prog, warm_primal=warm_primal, warm_dual=warm_dual)
+        res = kt_bruteforce(x, couple, t)
+        assert (res.iterations, res.converged, res.value, res.lower) == (0, True, cert.primal, cert.dual)
+    assert cert.iterations == 0 and cert.converged
+    # a cold bracket stays certified when it stops short of its tol
+    cold = solve_split(prog, tol=1e-10, max_iter=5000)
+    slack = 1e-12 * max(1.0, cold.primal)
+    assert cold.dual - slack <= cert.dual <= cert.primal + slack
+    assert cert.primal <= cold.primal + slack
+    z0, z1 = cert.dual_witness["z0"], cert.dual_witness["z1"]
+    assert np.array_equal(z0, -z1)
+    assert prog.norm0.dual_value(z0) <= 1.0 + 1e-12
+    assert prog.norm1.dual_value(z1) <= t * (1.0 + 1e-12)
+    assert -np.real(np.vdot(prog.target, z1)) == pytest.approx(cert.dual, rel=1e-12, abs=0.0)
+
+
+def _partial_clip_t(kind, q, x):
+    """The geometric mean of the t where the clip starts to cap the largest
+    modulus or singular value and the t where it caps them all."""
+    if kind == "mixed":
+        values, weight = np.linalg.svd(x, compute_uv=False).ravel(), 1.0 / x.shape[0]
+    elif kind == "schatten":
+        values, weight = np.linalg.svd(x, compute_uv=False), 1.0
+    else:
+        values, weight = np.abs(x), 1.0 / x.size if kind == "lebesgue" else 1.0
+    u = values / values.max()
+    first = np.sum(u == 1.0) if q == np.inf else np.sum(u**q)
+    qc = 1.0 if q == np.inf else q / (q - 1.0)
+    return float((weight**2 * first * values.size) ** (0.5 / qc))
+
+
+# MixedNorm takes p in {1, 2, inf}
+@pytest.mark.parametrize("kind, q", [(kind, q) for kind in CLIP_KINDS for q in (1.5, 2.0, 4.0, np.inf)
+                                     if kind != "mixed" or q in (2.0, np.inf)])
+def test_ambient_l1_couple_is_certified_by_the_clip(kind, q):
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal(CLIP_SHAPES[kind]) + 1j * rng.standard_normal(CLIP_SHAPES[kind])
+    _check_clip_route(kind, q, x, _partial_clip_t(kind, q, x))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(CLIP_KINDS), q=st.sampled_from([1.5, 2.0, 4.0, np.inf]),
+       seed=st.integers(0, 2**16), log_t=st.floats(-2.0, 2.0))
+def test_clip_route_lies_in_the_cold_bracket(kind, q, seed, log_t):
+    assume(kind != "mixed" or q in (2.0, np.inf))
+    rng = np.random.default_rng(seed)
+    shape = CLIP_SHAPES[kind]
+    if kind in ("sequence", "schatten"):
+        n = int(rng.integers(2, 9 if kind == "sequence" else 5))
+        shape = (n,) if kind == "sequence" else (n, n)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    _check_clip_route(kind, q, x, 10.0**log_t)

@@ -9,7 +9,7 @@ import pytest
 
 from kclose import circle, kfunctional
 from kclose.circle import CircleFunction
-from kclose.kfunctional import CoupleId, _warm_start_l1_linf, kt_bruteforce
+from kclose.kfunctional import CoupleId, _clip_split, kt_bruteforce
 from kclose.solver import (
     MAX_GRID,
     AnalyticMask,
@@ -635,7 +635,7 @@ def _h1_hinf_split(t, seed=63, n=32):
 def test_warm_dual_certifies_analytic_split_outside_the_band(t):
     # at t >= 1 and t < 1/N the ambient optimum is analytic, so its witness certifies it at once
     prog, norm0 = _h1_hinf_split(t)
-    warm_primal, warm_dual = _warm_start_l1_linf(prog.target, norm0, t)
+    warm_primal, warm_dual = _clip_split(prog.target, norm0, prog.norm1, t)
     cert = solve_split(prog, tol=1e-7, warm_primal=warm_primal, warm_dual=warm_dual)
     assert cert.iterations == 0 and cert.converged
     z0, z1 = cert.dual_witness["z0"], cert.dual_witness["z1"]
@@ -650,7 +650,7 @@ def test_warm_dual_never_seeds_the_iteration():
     # inside the band the warm certificate fails and the run is the one without a warm dual
     t = 0.1233
     prog, norm0 = _h1_hinf_split(t)
-    warm_primal, warm_dual = _warm_start_l1_linf(prog.target, norm0, t)
+    warm_primal, warm_dual = _clip_split(prog.target, norm0, prog.norm1, t)
     warm = solve_split(prog, tol=1e-5, warm_primal=warm_primal, warm_dual=warm_dual)
     cold = solve_split(prog, tol=1e-5, warm_primal=warm_primal)
     assert warm.iterations == cold.iterations > 0
