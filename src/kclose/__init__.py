@@ -15,4 +15,10 @@ triangular), constructive subspace decompositions driven by the squaring
 identity, weak-type embedding checks, and an experiment harness with a CLI.
 """
 
+import importlib
+
+# numpy imports numpy.fft on first use; a first use from a signal handler that interrupts
+# another import breaks CPython 3.11's module locks (KeyError), so it is loaded here
+importlib.import_module("numpy.fft")
+
 __version__ = "0.1.0"

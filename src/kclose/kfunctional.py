@@ -285,45 +285,81 @@ def kt_closed_form(x, t: float, weight: float | None = None) -> float:
     return circle._partial_integral(r.values, r.weight, t)
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# step cap of the level search on one piece, where Newton takes 3-6 steps; it runs above
+# 1e-100 (of the top), below which the cost is within 1e-98 of its value at the candidate 0
+_LEVEL_STEPS, _LEVEL_FLOOR = 60, 1e-100
 
 
 def best_truncation_level(values: np.ndarray, weight: float, p0: float, p1: float, t: float):
     """Best level of the ambient truncation split, as ``(level, cost)``.
 
-    ``values`` are the moduli (``weight`` 1/N) or the singular values
-    (``weight`` 1) of the target, and 1 < p0 < p1 < inf.  Clipping them at
-    level lam costs ``||v - min(v, lam)||_p0 + t*||min(v, lam)||_p1`` under
-    the measure ``weight``.  Golden-section search on log(level) over
-    [1e-12*top, top], top the largest value; the ends 0 and ``top`` are
-    candidates too, and among equal costs the smallest level wins.
+    ``values`` are the moduli (``weight`` 1/N) or the singular values (``weight`` 1)
+    of the target, and 1 < p0 < p1 < inf.  Clipping them at level lam costs
+    ``||v - min(v, lam)||_p0 + t*||min(v, lam)||_p1`` under the measure ``weight``;
+    the result is its exact global minimum.  Between consecutive values both terms
+    are convex in lam and at each value the slope drops, so every local minimum is
+    0, the top value, or the zero of the slope on a piece where it turns from
+    negative to positive.  The one-sided slopes at every value come from one pass
+    over the table of (v_i - v_j)_+ powers; on each such piece Newton's method on
+    the slope, with its closed-form derivative, keeps the sign-change bracket and
+    bisects when a step would leave it.  Equal costs go to the smallest level.
     """
+    top = float(values.max())
+    if top == 0.0:
+        return 0.0, 0.0
+    v = np.sort(values)[::-1] / top  # scaled, so that no power overflows
 
     def cost(lam: float) -> float:
-        flat = np.minimum(values, lam)
-        c0 = (weight * np.sum((values - flat) ** p0)) ** (1.0 / p0)
+        flat = np.minimum(v, lam)
+        c0 = (weight * np.sum((v - flat) ** p0)) ** (1.0 / p0)
         c1 = (weight * np.sum(flat**p1)) ** (1.0 / p1)
         return float(c0 + t * c1)
 
-    top = float(values.max())
-    if top == 0.0:
-        return 0.0, cost(0.0)
-    a, b = np.log(1e-12 * top), np.log(top)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = cost(np.exp(c)), cost(np.exp(d))
-    for _ in range(90):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = cost(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = cost(np.exp(d))
-    mid = float(np.exp((a + b) / 2.0))
-    best_cost, best_level = min((cost(v), v) for v in (mid, 0.0, top))
-    return best_level, best_cost
+    b = np.unique(np.append(v, 0.0))  # the pieces' ends, 0 = b[0] < ... < b[-1] = 1
+    k = v.size - np.searchsorted(v[::-1], b)  # k[j] values are >= b[j]
+    # slope of the p0 term at b[j]: -w*sum(u^(p0-1)) * (w*sum(u^p0))^(1/p0-1)
+    # for u = (v - b[j])_+ over its largest entry, and -(w*k)^(1/p0) at the top
+    u = np.maximum(v[:, None] - b[:-1], 0.0) / (1.0 - b[:-1])
+    up = u ** (p0 - 1.0)
+    slope0 = -weight * up.sum(0) * (weight * (up * u).sum(0)) ** (1.0 / p0 - 1.0)
+    slope0 = np.append(slope0, -((weight * k[-1]) ** (1.0 / p0)))
+    # slope of the p1 term on a piece with k values above the level:
+    # t*w*k * (w*R)^(1/p1-1) for R = sum(min(v/lam, 1)^p1), whose limit at 0 is k
+    r = np.append(k[1], ((np.minimum(v[:, None], b[1:]) / b[1:]) ** p1).sum(0))
+    e = (weight * r) ** (1.0 / p1 - 1.0)
+    twk = t * weight * k[1:]
+    left, right = slope0[:-1] + twk * e[:-1], slope0[1:] + twk * e[1:]
+    levels = [0.0, 1.0]
+    for j in np.flatnonzero((left < 0) & (right > 0) & (b[1:] > _LEVEL_FLOOR)):
+        above, below, kj = v[: k[j + 1]], v[k[j + 1]:], k[j + 1]
+        lo, hi = max(float(b[j]), _LEVEL_FLOOR), float(b[j + 1])
+        lam = lo + (hi - lo) * float(left[j] / (left[j] - right[j]))  # the secant zero
+        for _ in range(_LEVEL_STEPS):
+            if not lo < lam < hi:  # no float is left inside the bracket
+                break
+            # x = d/d[0]: the p0 slope is homogeneous of degree 0 in d, its derivative of -1
+            d = above - lam
+            x = d / d[0]
+            xp = x ** (p0 - 2.0)
+            q2, q1, q0 = xp.sum(), xp @ x, (xp * x) @ x
+            n0 = (weight * q0) ** (1.0 / p0 - 1.0)
+            rho = ((below / lam) ** p1).sum()
+            e1 = (weight * (kj + rho)) ** (1.0 / p1 - 1.0)
+            slope = t * weight * kj * e1 - weight * q1 * n0
+            curve = (p0 - 1.0) * weight * n0 * (q2 - q1 * q1 / q0) / d[0]
+            curve += t * (p1 - 1.0) * weight * kj * e1 * rho / ((kj + rho) * lam)
+            if slope > 0:
+                hi = lam
+            else:
+                lo = lam
+            if abs(slope) <= 1e-13 * lam * curve:
+                break
+            lam = lam - slope / curve if abs(slope) < curve * (hi - lo) else lo
+            if not lo < lam < hi:
+                lam = 0.5 * (lo + hi)
+        levels.append(float(lam))
+    best_cost, best_level = min((cost(lam), lam) for lam in levels)
+    return top * best_level, top * best_cost
 
 
 def _clip_level_and_weights(values: np.ndarray, weight: float, q: float, t: float):

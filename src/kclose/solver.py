@@ -85,9 +85,12 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(b, a)))
 
 
+_TINY = np.finfo(float).tiny  # v / |v| can overflow below it; such entries take phase 1
+
+
 def _moduli_phases(v: np.ndarray):
     m = np.abs(v)
-    return m, np.divide(v, m, out=np.ones_like(v), where=m > 0)
+    return m, np.divide(v, m, out=np.ones_like(v), where=m >= _TINY)
 
 
 def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:

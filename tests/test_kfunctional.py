@@ -408,20 +408,44 @@ def test_interp_norm_same_for_circle_and_array_payloads():
         assert np.array_equal(a.k_values, b.k_values)
 
 
-@pytest.mark.parametrize("p0, p1, t", [(1.5, 4.0, 0.3), (2.0, 4.0, 1.0), (1.25, 3.0, 5.0), (2.0, 6.0, 0.05)])
-def test_best_truncation_level_beats_a_level_grid(p0, p1, t):
-    def cost(s, lam):
-        flat = np.minimum(s, lam)
-        return np.sum((s - flat) ** p0) ** (1.0 / p0) + t * np.sum(flat**p1) ** (1.0 / p1)
+# a cost with two dips: the golden-section search that preceded the exact scan
+# returned the top, cost 4.802426, against the minimum 4.778982 near 8.628
+TWO_DIPS = [10.589582, 4.48722, 4.167656, 1.6464, 1.276683, 0.390999]
 
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        s = np.linalg.svd(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), compute_uv=False)
-        lam, c = best_truncation_level(s, 1.0, p0, p1, t)
-        assert 0.0 <= lam <= s[0]
-        assert abs(c - cost(s, lam)) <= 1e-14 * c
-        grid = np.logspace(np.log10(s[0]) - 12, np.log10(s[0]), 200)
-        assert c <= min(cost(s, g) for g in grid) * (1 + 1e-12)
+
+@pytest.mark.parametrize(
+    "p0, p1, t, values",
+    [
+        pytest.param(1.5, 4.0, 0.3, None, id="1.5-4.0-0.3"),
+        pytest.param(2.0, 4.0, 1.0, None, id="2.0-4.0-1.0"),
+        pytest.param(1.25, 3.0, 5.0, None, id="1.25-3.0-5.0"),
+        pytest.param(2.0, 6.0, 0.05, None, id="2.0-6.0-0.05"),
+        pytest.param(2.0, 4.0, 0.7, TWO_DIPS, id="two-dips"),
+    ],
+)
+def test_best_truncation_level_beats_a_level_grid(p0, p1, t, values):
+    def cost(s, w, lam):
+        flat = np.minimum(s[:, None], lam)
+        c0 = (w * np.sum((s[:, None] - flat) ** p0, axis=0)) ** (1.0 / p0)
+        return c0 + t * (w * np.sum(flat**p1, axis=0)) ** (1.0 / p1)
+
+    if values is None:
+        draws = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            draws.append((np.linalg.svd(m, compute_uv=False), 1.0))
+    else:
+        draws = [(np.array(values), 1.0 / len(values))]
+    for s, w in draws:
+        lam, c = best_truncation_level(s, w, p0, p1, t)
+        assert 0.0 <= lam <= s.max()
+        assert abs(c - cost(s, w, lam)[0]) <= 1e-14 * c
+        # a log grid, every value, and 200 levels inside each piece between values
+        ends = np.unique(np.append(s, 0.0))
+        inner = [np.linspace(lo, hi, 202)[1:-1] for lo, hi in zip(ends[:-1], ends[1:])]
+        grid = np.concatenate([np.logspace(np.log10(s.max()) - 12, np.log10(s.max()), 200), ends, *inner])
+        assert c <= cost(s, w, grid).min() * (1 + 1e-12)
 
 
 def test_best_truncation_level_of_zero_values():

@@ -1,5 +1,6 @@
-"""Property tests of the masked (H^1, H^inf) split on small grids, and of
-the exact ambient (1, q) split that certifies itself before any iteration."""
+"""Property tests of the masked (H^1, H^inf) split on small grids, of the
+exact ambient (1, q) split that certifies itself before any iteration, and of
+the exact level of the ambient truncation split."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kclose import circle, schatten
-from kclose.kfunctional import CoupleId, _clip_split, couple_norms, kt_bruteforce, kt_closed_form
+from kclose.kfunctional import (
+    CoupleId,
+    _clip_split,
+    best_truncation_level,
+    couple_norms,
+    kt_bruteforce,
+    kt_closed_form,
+)
 from kclose.solver import MixedNorm, SplitProgram, solve_split
 
 TOL = 1e-7
@@ -157,3 +165,32 @@ def test_clip_route_lies_in_the_cold_bracket(kind, q, seed, log_t):
         shape = (n,) if kind == "sequence" else (n, n)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     _check_clip_route(kind, q, x, 10.0**log_t)
+
+
+# zeros and ties come from the sampled values, subnormal and tiny ones from the floats
+TRUNCATION_VALUES = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 10.0)),
+                             min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=TRUNCATION_VALUES, uniform=st.booleans(), p0=st.floats(1.01, 7.5), gap=st.floats(0.01, 1.0),
+       log_t=st.floats(-2.0, 2.0), log_c=st.floats(-60.0, 60.0))
+def test_truncation_level_is_the_global_minimum(values, uniform, p0, gap, log_t, log_c):
+    v = np.array(values)
+    assume(v.max() > 0)
+    weight = 1.0 / v.size if uniform else 1.0
+    p1, t, top = p0 + gap * (8.0 - p0), 10.0**log_t, v.max()
+
+    def cost(lam):  # on v / top, so that no power of a tiny value underflows
+        u, flat = v / top, np.minimum(v, lam) / top
+        c0 = (weight * np.sum((u - flat) ** p0)) ** (1.0 / p0)
+        return top * (c0 + t * (weight * np.sum(flat**p1)) ** (1.0 / p1))
+
+    lam, c = best_truncation_level(v, weight, p0, p1, t)
+    assert 0.0 <= lam <= top
+    assert abs(c - cost(lam)) <= 1e-14 * c
+    assert all(c <= cost(level) * (1 + 1e-13) for level in [0.0, top, *v])
+    # the cost is homogeneous; at c = 1e60 and p1 = 8 a raw power would overflow
+    scale = 10.0**log_c
+    _, scaled = best_truncation_level(v * scale, weight, p0, p1, t)
+    assert abs(scaled - scale * c) <= 1e-12 * scale * c

@@ -235,6 +235,23 @@ def test_cone_projection_feasible_fixed_and_closest(p, kind):
             assert all(d <= _cone_dist(w, h, c, c_s) + 1e-9 for c, c_s in samples)
 
 
+# dividing the first entry by its modulus overflows; below the smallest normal
+# float an entry takes phase 1, and the normal entries keep their bits
+SUBNORMAL_ENTRY = np.array([1e-320 + 1e-320j, 0.3 - 0.2j, 1.0])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_subnormal_entry_projects_to_finite_output(p):
+    nrm = VectorNorm(p, 1.0 / 3)
+    zeroed = SUBNORMAL_ENTRY * [0, 1, 1]
+    runs = [(nrm.project_dual_ball(SUBNORMAL_ENTRY, 0.5), nrm.project_dual_ball(zeroed, 0.5))]
+    if p in (1.0, np.inf):
+        runs.append((nrm.cone_project(SUBNORMAL_ENTRY, 0.1)[0], nrm.cone_project(zeroed, 0.1)[0]))
+    for got, ref in runs:
+        assert np.isfinite(got).all() and abs(got[0]) <= abs(SUBNORMAL_ENTRY[0])
+        assert got[1:].tobytes() == ref[1:].tobytes()
+
+
 def _reference_vector_cone(p, wgt, w, h):
     """The numpy-loop epigraph-cone projection the scalar scans replaced,
     kept as their bitwise reference; also names the branch taken."""
