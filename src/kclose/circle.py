@@ -36,7 +36,6 @@ __all__ = [
     "inner",
     "analyticity_residual",
     "rearrange",
-    "decreasing_value",
     "truncate_at_level",
 ]
 
@@ -157,7 +156,12 @@ def riesz_project(f: CircleFunction) -> CircleFunction:
 
 
 def hilbert_transform(f: CircleFunction) -> CircleFunction:
-    """Fourier multiplier -1j*sign(j); real inputs give real outputs."""
+    """Fourier multiplier -1j*sign(j); real inputs give real outputs.
+
+    Equal to -1j*(2*riesz_project(f) - f - f_hat(0)); its boundedness on L^p,
+    1 < p < inf, is the analytic input of the proof that (H^1, H^inf) is
+    K-closed in (L^1, L^inf).
+    """
     c = fourier_coeffs(f) * (-1j * np.sign(frequencies(f.n)))
     return from_coeffs(c)
 
@@ -208,20 +212,6 @@ def _partial_integral(values: np.ndarray, weight: float, t: float) -> float:
     if frac > 0 and full < values.size:
         out += frac * values[full]
     return float(out)
-
-
-def decreasing_value(r: Rearrangement, t: float) -> float:
-    """Right-continuous value of the rearrangement step function at t.
-
-    At a step boundary the value of the *next* step is used; beyond the
-    total mass the rearrangement is zero.
-    """
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
-    idx = int(np.floor(t / r.weight + 1e-15))
-    if idx >= r.values.size:
-        return 0.0
-    return float(r.values[idx])
 
 
 def truncate_at_level(f: CircleFunction, level: float):

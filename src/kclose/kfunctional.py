@@ -11,8 +11,6 @@ error bar; for p0 = 1 it first tries the exact ambient clip split.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +31,12 @@ __all__ = [
     "CoupleId",
     "CoupleDecomposition",
     "BruteForceResult",
-    "KReport",
     "InterpNormResult",
     "kt_closed_form",
     "kt_bruteforce",
     "kt_bracket",
     "jt",
     "real_interp_norm",
-    "k_closedness_report",
 ]
 
 _KINDS = ("lebesgue", "sequence", "schatten", "hardy", "triangular")
@@ -490,7 +486,8 @@ def kt_bracket(x, couple: CoupleId, t: float, tol: float = 1e-7, norms=None):
 
 
 def jt(x, couple: CoupleId, t: float) -> float:
-    """J-functional max(||x||_0, t*||x||_1) for elements of the intersection."""
+    """J-functional max(||x||_0, t*||x||_1) for elements of the intersection,
+    where K_t(x) <= J_t(x): the upper reference the K <= J test holds K_t to."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     arr = _payload_array(x)
@@ -499,12 +496,17 @@ def jt(x, couple: CoupleId, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interpolation norm and K-closedness reports
+# interpolation norm
 
 
 def default_t_grid(t_min: float = 1e-3, t_max: float = 1e3, points_per_decade: int = 20) -> np.ndarray:
+    """Log-spaced t-grid from t_min to t_max for :func:`real_interp_norm`,
+    with at least two points; 0 < t_min < t_max < inf."""
+    if not (0 < t_min < t_max < np.inf and points_per_decade >= 1):
+        raise ValueError(f"need 0 < t_min < t_max < inf and points_per_decade >= 1, "
+                         f"got {t_min}, {t_max}, {points_per_decade}")
     decades = np.log10(t_max / t_min)
-    count = int(round(decades * points_per_decade)) + 1
+    count = max(2, int(round(decades * points_per_decade)) + 1)
     return np.logspace(np.log10(t_min), np.log10(t_max), count)
 
 
@@ -528,16 +530,22 @@ def real_interp_norm(
 ) -> InterpNormResult:
     """Quadrature value of the (theta, q) interpolation norm over a log grid.
 
+    On (H^1, H^inf) with q = p, 1/p = 1 - theta, it is the norm of
+    H^p = (H^1, H^inf)_{theta,p}, equivalent by K-closedness to the L^p norm.
+    ``t_grid`` holds two or more strictly increasing, positive, finite points.
     The truncation error outside [t_min, t_max] is bounded through
     K_t <= min(||x||_0, t*||x||_1) and reported, not silently dropped.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if q != np.inf and q < 1:
-        raise ValueError("q must lie in [1, inf]")
+    if not 1 <= q <= np.inf:
+        raise ValueError(f"q must lie in [1, inf], got {q}")
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
+    if not (t_grid.ndim == 1 and t_grid.size >= 2 and np.isfinite(t_grid).all()
+            and t_grid[0] > 0 and (np.diff(t_grid) > 0).all()):
+        raise ValueError("t_grid must hold two or more strictly increasing, positive, finite points")
     norms = couple_norms(couple, x)
     ks = np.array([kt_bracket(x, couple, t, tol=tol, norms=norms)[1] for t in t_grid])
     arr = _payload_array(x).ravel()
@@ -557,83 +565,3 @@ def real_interp_norm(
         value = integral ** (1.0 / q)
         tail_bound = (integral + tail_low + tail_high) ** (1.0 / q) - value
     return InterpNormResult(value, theta, q, t_grid, ks, tail_bound)
-
-
-@dataclass
-class KReportRow:
-    t: float
-    ambient_k: float
-    achieved_cost: float
-    ratio: float
-
-
-@dataclass
-class KReport:
-    """Per-t comparison of a subspace decomposition against the ambient K."""
-
-    couple: CoupleId
-    rows: list
-    c_estimate: float
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "ambient_K", "achieved_cost", "ratio"])
-        for r in self.rows:
-            w.writerow([repr(r.t), repr(r.ambient_k), repr(r.achieved_cost), repr(r.ratio)])
-        return buf.getvalue()
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "couple": {"kind": self.couple.kind, "p0": _exp_str(self.couple.p0), "p1": _exp_str(self.couple.p1)},
-            "c_estimate": self.c_estimate,
-            "rows": [
-                {"t": r.t, "ambient_K": r.ambient_k, "achieved_cost": r.achieved_cost, "ratio": r.ratio}
-                for r in self.rows
-            ],
-            "meta": self.meta,
-        }
-
-
-def _exp_str(p: float) -> str:
-    return "inf" if p == np.inf else (str(int(p)) if float(p).is_integer() else str(p))
-
-
-def ambient_k_lower(x, couple: CoupleId, t: float, tol: float = 1e-7) -> float:
-    """A certified value of the ambient K_t (exact where a closed form exists,
-    otherwise the solver's feasible dual lower bound)."""
-    return kt_bracket(x, couple.ambient, t, tol=tol)[0]
-
-
-def k_closedness_report(
-    f,
-    couple: CoupleId,
-    decomposer,
-    t_grid: np.ndarray | None = None,
-    tol: float = 1e-7,
-) -> KReport:
-    """Run a decomposer across a t-grid and compare with the ambient K_t.
-
-    ``decomposer(f, t)`` must return a :class:`CoupleDecomposition`.  The
-    ratio uses a certified ambient value (exact or dual lower bound), so
-    ratio >= 1 - 1e-9 holds whenever the certificate is genuine.
-    """
-    if not couple.has_subspace:
-        raise ValueError("K-closedness reports need a subspace couple")
-    if t_grid is None:
-        t_grid = default_t_grid(1e-2, 1e2, 5)
-    arr = _payload_array(f)
-    zero = not np.any(arr)
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        if zero:
-            rows.append(KReportRow(float(t), 0.0, 0.0, 1.0))
-            continue
-        dec = decomposer(f, float(t))
-        amb = ambient_k_lower(f, couple, float(t), tol=tol)
-        ratio = dec.cost / amb if amb > 0 else 1.0
-        rows.append(KReportRow(float(t), float(amb), float(dec.cost), float(ratio)))
-    c_est = max((r.ratio for r in rows), default=1.0)
-    return KReport(couple=couple, rows=rows, c_estimate=c_est)

@@ -57,13 +57,11 @@ __all__ = [
     "singular_values",
     "schatten_norm",
     "triangular_part",
-    "diagonal_part",
     "triangular_factor",
     "kt_schatten",
     "decompose_t1_tq",
     "dist_triangular_inf",
     "dist_triangular_inf_oracle",
-    "dist_triangular_1",
     "simultaneous_triangular_approx",
     "SimultaneousMatrixResult",
     "matrix_outer_factor",
@@ -122,13 +120,6 @@ def schatten_norm(x, p: float) -> float:
 def triangular_part(x):
     """Orthogonal (trace-inner-product) projection onto upper triangular."""
     out = np.triu(_square_array(x))
-    return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
-
-
-def diagonal_part(x):
-    """Keep the diagonal only."""
-    m = _square_array(x)
-    out = np.diag(np.diag(m))
     return MatrixOperator(out) if isinstance(x, MatrixOperator) else out
 
 
@@ -305,16 +296,6 @@ def dist_triangular_inf_oracle(x, tol: float = 1e-8, max_iter: int = 400_000):
     n = m.shape[0]
     cert = solve_distance(
         m.ravel(), SchattenNorm(np.inf, n), TriangularMask(n), tol=tol, max_iter=max_iter
-    )
-    return cert.primal, cert
-
-
-def dist_triangular_1(x, tol: float = 1e-8, max_iter: int = 400_000):
-    """Trace-norm distance to upper triangular, with dual witness."""
-    m = _square_array(x)
-    n = m.shape[0]
-    cert = solve_distance(
-        m.ravel(), SchattenNorm(1.0, n), TriangularMask(n), tol=tol, max_iter=max_iter
     )
     return cert.primal, cert
 

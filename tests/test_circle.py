@@ -116,21 +116,6 @@ def test_rearrangement_is_sorted_and_mass_preserving():
     assert abs(r.weight * r.values.sum() - circle.lp_norm(f, 1)) < 1e-12
 
 
-def test_decreasing_value_right_continuous():
-    r = circle.Rearrangement(np.array([3.0, 2.0, 1.0, 0.5]), 0.25)
-    assert circle.decreasing_value(r, 0.0) == 3.0
-    assert circle.decreasing_value(r, 0.25) == 2.0  # next step at a boundary
-    assert circle.decreasing_value(r, 0.9) == 0.5
-    assert circle.decreasing_value(r, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
-def test_decreasing_value_rejects_non_finite_t(t):
-    r = circle.Rearrangement(np.array([3.0, 2.0, 1.0, 0.5]), 0.25)
-    with pytest.raises(ValueError, match="finite"):
-        circle.decreasing_value(r, t)
-
-
 def test_partial_integral_flat_function():
     f = CircleFunction.constant(1.0, 16)
     for t in (0.0, 0.25, 0.5, 1.0, 2.0, 10.0):

@@ -1,17 +1,15 @@
-"""Couple identifiers, K/J functionals, interpolation norms, reports."""
+"""Couple identifiers, K/J functionals, interpolation norms."""
 
 import numpy as np
 import pytest
 
-from kclose import circle, hardy
+from kclose import circle
 from kclose.circle import CircleFunction, from_coeffs
 from kclose.kfunctional import (
     CoupleId,
-    ambient_k_lower,
     best_truncation_level,
     default_t_grid,
     jt,
-    k_closedness_report,
     kt_bracket,
     kt_bruteforce,
     kt_closed_form,
@@ -298,46 +296,35 @@ def test_default_t_grid_endpoints():
     g = default_t_grid(1e-2, 1e2, 5)
     assert abs(g[0] - 1e-2) < 1e-15 and abs(g[-1] - 1e2) < 1e-13
     assert np.all(np.diff(np.log(g)) > 0)
+    short = default_t_grid(1.0, 1.2, 1)  # under half a decade still keeps both ends
+    assert short.size == 2 and short[0] == 1.0 and abs(short[1] - 1.2) < 1e-15
 
 
-# ---------------------------------------------------------------------------
-# reports
+@pytest.mark.parametrize("t_min, t_max, per_decade", [
+    (1e2, 1e-2, 5),  # numpy raised "Number of samples, -19"
+    (-1.0, 1.0, 3),  # NaN through log10
+    (0.0, 1.0, 3),
+    (1.0, np.inf, 3),
+    (np.nan, 1.0, 3),
+    (1e-2, 1e2, 0),  # a one-point grid
+])
+def test_default_t_grid_rejects_bad_range(t_min, t_max, per_decade):
+    with pytest.raises(ValueError):
+        default_t_grid(t_min, t_max, per_decade)
 
 
-def test_report_csv_and_json_shape():
-    f = rand_analytic(16, 37)
-    couple = CoupleId.parse("h1,hinf")
-
-    def decomposer(g, t):
-        return hardy.decompose_h1_hinf(g, t, backend="oracle", tol=1e-7)
-
-    rep = k_closedness_report(f, couple, decomposer, t_grid=np.array([0.5, 1.0, 2.0]))
-    text = rep.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,ambient_K,achieved_cost,ratio"
-    assert len(lines) == 4
-    data = rep.to_json()
-    assert data["schema"] == 1
-    assert data["couple"] == {"kind": "hardy", "p0": "1", "p1": "inf"}
-    assert rep.c_estimate >= 1.0 - 1e-9
-    for row in rep.rows:
-        assert row.ratio >= 1.0 - 1e-9
-
-
-def test_report_zero_function_ratio_one():
-    f = CircleFunction(np.zeros(16, dtype=np.complex128))
-    couple = CoupleId.parse("h1,hinf")
-
-    def decomposer(g, t):
-        return hardy.decompose_h1_hinf(g, t, backend="oracle")
-
-    rep = k_closedness_report(f, couple, decomposer, t_grid=np.array([1.0]))
-    assert rep.rows[0].ratio == 1.0
-
-
-def test_ambient_lower_is_closed_form_for_l1_linf():
-    f = rand_circle(16, 41)
-    assert abs(ambient_k_lower(f, CoupleId.parse("h1,hinf"), 0.8) - kt_closed_form(f, 0.8)) == 0.0
+@pytest.mark.parametrize("t_grid, q", [
+    ([4.0, 2.0, 1.0], 2.0),  # a decreasing grid gave the complex 2.4e-16+3.97j
+    ([2.0], 2.0),  # one point gave 0.0
+    ([0.0, 1.0], 2.0),  # log(0): a division by zero
+    ([1.0, np.inf], 2.0),
+    ([[1.0, 2.0], [3.0, 4.0]], 2.0),
+    ([1.0, 2.0], np.nan),  # gave nan
+    ([1.0, 2.0], 0.5),
+], ids=["decreasing", "one-point", "zero", "inf", "2-d", "q-nan", "q-below-1"])
+def test_interp_norm_rejects_bad_grid_or_q(t_grid, q):
+    with pytest.raises(ValueError):
+        real_interp_norm(_ramp8(), CoupleId.parse("L1,Linf"), 0.5, q, t_grid=t_grid)
 
 
 def test_payload_size_limits():
@@ -390,12 +377,6 @@ def test_bracket_other_couples_take_the_solver_sandwich():
     lower, value = kt_bracket(f, CoupleId.parse("h1,hinf"), 0.3, tol=1e-8)
     assert lower <= value <= lower + 1e-8 * max(1.0, value)
     assert value >= kt_closed_form(f, 0.3) - 1e-9  # subspace K >= ambient K
-
-
-def test_ambient_lower_takes_the_couple_measure():
-    ramp = np.arange(1, 9) + 0j
-    assert ambient_k_lower(ramp, CoupleId("lebesgue", 1, np.inf), 2.0) == 4.5
-    assert ambient_k_lower(ramp, CoupleId("sequence", 1, np.inf), 2.0) == 15.0
 
 
 def test_interp_norm_same_for_circle_and_array_payloads():

@@ -10,8 +10,6 @@ from kclose.schatten import (
     MatrixValuedFunction,
     ambient_mixed_kt,
     decompose_t1_tq,
-    diagonal_part,
-    dist_triangular_1,
     dist_triangular_inf,
     dist_triangular_inf_oracle,
     kt_schatten,
@@ -23,6 +21,7 @@ from kclose.schatten import (
     triangular_factor,
     triangular_part,
 )
+from kclose.solver import SchattenNorm, TriangularMask, solve_distance
 
 
 def rand_mat(n, seed):
@@ -86,14 +85,6 @@ def test_schatten_norm_adjoint_and_unitary_invariance():
         a = schatten_norm(x, p)
         assert abs(schatten_norm(MatrixOperator(x.entries.conj().T), p) - a) < 1e-10
         assert abs(schatten_norm(MatrixOperator(u @ x.entries @ v), p) - a) < 1e-10
-
-
-def test_diagonal_pinching_contracts():
-    for seed in range(5):
-        x = rand_mat(4, 30 + seed)
-        d = diagonal_part(x)
-        for p in (1.0, 2.0, np.inf):
-            assert schatten_norm(d, p) <= schatten_norm(x, p) + 1e-12
 
 
 def test_triangular_part_orthogonal_in_frobenius():
@@ -256,8 +247,10 @@ def test_matrix_entries_reject_non_finite_t(entry, t):
 def test_corner_distance_frozen_unit():
     e21 = np.zeros((2, 2)); e21[1, 0] = 1.0
     assert dist_triangular_inf(MatrixOperator(e21)) == 1.0
-    val1, cert1 = dist_triangular_1(MatrixOperator(e21))
-    assert abs(val1 - 1.0) < 1e-7
+    cert1 = solve_distance(
+        e21.ravel(), SchattenNorm(1.0, 2), TriangularMask(2), tol=1e-8, max_iter=400_000
+    )
+    assert abs(cert1.primal - 1.0) < 1e-7
     assert cert1.dual >= 1.0 - 1e-6
 
 
@@ -273,7 +266,10 @@ def test_corner_formula_equals_convex_oracle():
 def test_trace_distance_bounded_by_feasible_point():
     for seed in range(5):
         x = rand_mat(4, 300 + seed)
-        val, cert = dist_triangular_1(x, tol=1e-7)
+        cert = solve_distance(
+            x.entries.ravel(), SchattenNorm(1.0, 4), TriangularMask(4), tol=1e-7, max_iter=400_000
+        )
+        val = cert.primal
         low = np.tril(x.entries, -1)
         cap = np.linalg.svd(low, compute_uv=False).sum()  # y = triu(x) is feasible
         assert val <= cap + 1e-6
