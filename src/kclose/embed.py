@@ -7,10 +7,10 @@ matrix analogue replaces samples by singular values and weak-L^q by the
 weak Schatten ideal.  Both computations truncate the n-sum at ``n_max``
 and report an explicit tail bound instead of hiding the cutoff.
 
-The supremum over thresholds t is attained in the left limit at the
-breakpoints t = n^{-1/q} * (distinct sample values); the code enumerates
-exactly those and counts level sets with >= instead of >, which evaluates
-the limit from the left.
+Both read the weak quasi-norm off one sorted pool, every v_k n^{-1/q} over
+the nonzero moduli (or singular values) v_k and n <= n_max: the supremum
+over thresholds t sits at a pool element p, counted with #{pool >= p}
+(Bennett and Sharpley, *Interpolation of Operators*, 1988, ch. 4).
 """
 
 from __future__ import annotations
@@ -43,56 +43,52 @@ class EmbedResult:
     n_max: int
 
 
-def _values_and_weights(f) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(f, CircleFunction):
-        v = np.abs(f.samples)
-        return v, np.full(v.size, 1.0 / v.size), float(v.max(initial=0.0))
-    v = np.abs(np.asarray(f, dtype=np.complex128)).ravel()
-    return v, np.full(v.size, 1.0 / max(v.size, 1)), float(v.max(initial=0.0))
+def _checked(payload: np.ndarray, q: float, n_max: int) -> np.ndarray:
+    if not 1.0 < q < np.inf:
+        raise ValueError(f"q must lie in (1, inf), got {q}")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if not np.isfinite(payload).all():
+        raise ValueError("payload must be finite")
+    return payload
 
 
-# candidate thresholds per vectorised block, so the (block, samples)
-# temporaries stay small whatever n_max is
-_CHUNK = 5_000
+def _pool(v: np.ndarray, q: float, n_max: int) -> np.ndarray:
+    """Every v_k * n^{-1/q} for n = 1..n_max, sorted ascending."""
+    pool = np.outer(v, np.arange(1, n_max + 1, dtype=float) ** (-1.0 / q)).ravel()
+    pool.sort()
+    return pool
 
 
 def kq_embed(f, q: float, n_max: int = 10_000) -> EmbedResult:
     """sup_t of sum_{n<=n_max} t^q m{n^{-1/q}|F| > t} versus integral |F|^q.
 
-    Candidate thresholds are v * n^{-1/q} over distinct sample values v;
-    between consecutive breakpoints the sum is a fixed count times t^q, so
-    the supremum sits at a breakpoint's left limit.
+    With w the measure of one sample, the sum at threshold t is
+    t^q * w * #{pool > t}; it grows like t^q between pool elements, so the
+    supremum is the largest p^q * w * #{pool >= p} over pool elements p.
+    In the ascending pool the first copy of a repeated value carries the
+    largest count, and among equal values the smallest threshold is kept.
     """
-    if not 1.0 < q < np.inf:
-        raise ValueError(f"q must lie in (1, inf), got {q}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    values, weights, vmax = _values_and_weights(f)
-    w = float(weights[0]) if weights.size else 0.0
-    target = float(np.sum(weights * values**q))
+    f = f.samples if isinstance(f, CircleFunction) else np.asarray(f, dtype=np.complex128)
+    values = _checked(np.abs(f).ravel(), q, n_max)
+    w = 1.0 / max(values.size, 1)
+    target = float(np.sum(w * values**q))
+    vmax = float(values.max(initial=0.0))
     if vmax == 0.0:
         return EmbedResult(0.0, target, 0.0, 0.0, 0.0, q, n_max)
-    distinct = np.unique(values[values > 0.0])
-    scale = np.arange(1, n_max + 1, dtype=float) ** (-1.0 / q)
-    cands = np.unique(np.outer(distinct, scale).ravel())
-    best_val, best_t = 0.0, 0.0
-    # S(t) = t^q * w * sum_k min(n_max, #{n : n^{-1/q} v_k >= t}); the count
-    # is floor((v_k/t)^q) with a nudge so exact breakpoints land inclusively
-    for start in range(0, cands.size, _CHUNK):
-        block = cands[start : start + _CHUNK]
-        ratio = (values[None, :] / block[:, None]) ** q
-        counts = np.floor(ratio * (1.0 + 1e-9) + 1e-12)
-        s = block**q * w * np.minimum(counts, n_max).sum(axis=1)
-        i = int(np.argmax(s))
-        if s[i] > best_val:
-            best_val, best_t = float(s[i]), float(block[i])
-    tail = best_t**q * w * values.size * max(0.0, (vmax / best_t) ** q - n_max)
+    pool = _pool(values[values > 0.0], q, n_max)
+    s = pool**q
+    s *= w
+    s *= np.arange(pool.size, 0, -1, dtype=float)
+    i = int(np.argmax(s))
+    value, t = float(s[i]), float(pool[i])
+    tail = t**q * w * values.size * max(0.0, (vmax / t) ** q - n_max)
     return EmbedResult(
-        value=best_val,
+        value=value,
         target=target,
-        residual=target - best_val,
+        residual=target - value,
         tail_bound=tail,
-        argmax_t=best_t,
+        argmax_t=t,
         q=q,
         n_max=n_max,
     )
@@ -101,21 +97,17 @@ def kq_embed(f, q: float, n_max: int = 10_000) -> EmbedResult:
 def kq_embed_matrix(x, q: float, n_max: int = 10_000) -> EmbedResult:
     """Weak Schatten quasi-norm of {n^{-1/q} a_k(x)} versus the C_q norm.
 
-    The multiset of all n^{-1/q}-scaled singular values is sorted and the
-    weak quasi-norm sup_k (k+1)^{1/q} s_k evaluated directly; the target is
-    the Schatten q-norm of x.
+    The pool of all n^{-1/q}-scaled singular values is read in decreasing
+    order and the weak quasi-norm sup_k k^{1/q} s_k* evaluated directly;
+    among equal values the largest s_k* is kept.  The target is the
+    Schatten q-norm of x.
     """
-    if not 1.0 < q < np.inf:
-        raise ValueError(f"q must lie in (1, inf), got {q}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    sv = np.linalg.svd(_square_array(x), compute_uv=False)
+    sv = np.linalg.svd(_checked(_square_array(x), q, n_max), compute_uv=False)
     sv = sv[sv > 0.0]
     target = float(np.sum(sv**q) ** (1.0 / q))
     if sv.size == 0:
         return EmbedResult(0.0, 0.0, 0.0, 0.0, 0.0, q, n_max)
-    ns = np.arange(1, n_max + 1, dtype=float) ** (-1.0 / q)
-    pool = np.sort(np.outer(sv, ns).ravel())[::-1]
+    pool = _pool(sv, q, n_max)[::-1]
     ranks = np.arange(1, pool.size + 1, dtype=float)
     vals = ranks ** (1.0 / q) * pool
     i = int(np.argmax(vals))
@@ -123,7 +115,7 @@ def kq_embed_matrix(x, q: float, n_max: int = 10_000) -> EmbedResult:
     s_at = float(pool[i])
     # untruncated n > n_max could push the rank at level s_at up by `extra`
     extra = float(np.sum(np.maximum(0.0, np.floor((sv / s_at) ** q) - n_max)))
-    tail = ((ranks[i] + extra) ** (1.0 / q) - ranks[i] ** (1.0 / q)) * s_at
+    tail = float(((ranks[i] + extra) ** (1.0 / q) - ranks[i] ** (1.0 / q)) * s_at)
     return EmbedResult(
         value=value,
         target=target,

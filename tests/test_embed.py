@@ -1,5 +1,8 @@
 """Weak-type embedding values against their strong-norm targets."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,52 @@ def test_rejects_bad_exponent():
             kq_embed(f, q)
 
 
+def _exact_weak_q2(a, n_max):
+    """For q = 2 and squared moduli a: the exact candidates u = t^2 = a_k/n,
+    the sum u * w * sum_k min(n_max, floor(a_k/u)) at each, and its maximum."""
+    a = [Fraction(ak) for ak in a]
+    w = Fraction(1, len(a))
+    sums = {u: u * w * sum(min(n_max, math.floor(ak / u)) for ak in a)
+            for u in {ak / n for ak in a for n in range(1, n_max + 1)}}
+    return sums, max(sums.values())
+
+
+@pytest.mark.parametrize("n_max", [10, 50, 200])
+@pytest.mark.parametrize("v, a", [
+    ([1.0, 0.5], [1, Fraction(1, 4)]),
+    ([3.0, 1.5, 1.0, 1.0], [9, Fraction(9, 4), 1, 1]),
+    ([2.0, 2.0 / math.sqrt(2.0), 2.0 / math.sqrt(3.0)], [4, 2, Fraction(4, 3)]),
+])
+def test_tied_breakpoints_match_exact_reference(v, a, n_max):
+    # v_k n^{-1/2} and v_j m^{-1/2} meet at a breakpoint (and the maximum is
+    # attained on whole plateaus of thresholds): the value is the exact one up
+    # to rounding, and the reported threshold is one where it is attained
+    sums, best = _exact_weak_q2(a, n_max)
+    r = kq_embed(v, 2.0, n_max)
+    assert abs(r.value - float(best)) <= 4 * math.ulp(float(best))
+    u = Fraction(r.argmax_t) ** 2
+    near = [c for c in sums if abs(c - u) <= Fraction(1, 10**12) * c]
+    assert len(near) == 1 and sums[near[0]] == best
+
+
+@pytest.mark.parametrize("payload", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(1.0, np.nan)]])
+def test_rejects_non_finite_samples(payload):
+    with pytest.raises(ValueError, match="finite"):
+        kq_embed(payload, 2.0, 100)
+
+
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True, 0, -1, "10"])
+def test_rejects_non_integer_n_max(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        kq_embed([1.0, 2.0], 2.0, n_max)
+    with pytest.raises(ValueError, match="n_max"):
+        kq_embed_matrix(np.eye(2), 2.0, n_max)
+
+
+def test_accepts_numpy_integer_n_max():
+    assert kq_embed([1.0, 2.0], 2.0, np.int64(100)) == kq_embed([1.0, 2.0], 2.0, 100)
+
+
 # ---------------------------------------------------------------------------
 # matrix variant
 
@@ -117,3 +166,16 @@ def test_matrix_scaling():
 def test_matrix_rejects_non_square_payload():
     with pytest.raises(ValueError, match="square"):
         kq_embed_matrix(CircleFunction.constant(1.0, 8), 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kq_embed_matrix(m, 2.0, 100)
+
+
+def test_matrix_tail_bound_is_a_python_float():
+    r = kq_embed_matrix(np.diag([3.0, 1.0]), 2.0, n_max=1000)
+    assert type(r.tail_bound) is float and r.tail_bound >= 0.0

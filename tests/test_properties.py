@@ -1,6 +1,7 @@
 """Property tests of the masked (H^1, H^inf) split on small grids, of the
-exact ambient (1, q) split that certifies itself before any iteration, and of
-the exact level of the ambient truncation split."""
+exact ambient (1, q) split that certifies itself before any iteration, of
+the exact level of the ambient truncation split, and of the weak-type
+embedding value read off its sorted pool."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kclose import circle, schatten
+from kclose.embed import kq_embed
 from kclose.kfunctional import (
     CoupleId,
     _clip_split,
@@ -194,3 +196,23 @@ def test_truncation_level_is_the_global_minimum(values, uniform, p0, gap, log_t,
     scale = 10.0**log_c
     _, scaled = best_truncation_level(v * scale, weight, p0, p1, t)
     assert abs(scaled - scale * c) <= 1e-12 * scale * c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                                 st.floats(1e-3, 10.0)), min_size=1, max_size=8),
+       q=st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.01, 6.0)),
+       n_max=st.integers(1, 50))
+def test_embed_value_is_the_brute_force_pool_maximum(values, q, n_max):
+    # every threshold t of the pool counted against the whole pool, O(P^2)
+    v = np.asarray(values)
+    w = 1.0 / v.size
+    pool = np.outer(v[v > 0.0], np.arange(1, n_max + 1, dtype=float) ** (-1.0 / q)).ravel()
+    r = kq_embed(v, q, n_max)
+    if pool.size == 0:
+        assert r.value == 0.0 and r.argmax_t == 0.0
+        return
+    s = pool**q * w * (pool[None, :] >= pool[:, None]).sum(axis=1)
+    assert r.value == s.max()
+    # among equal values the smallest threshold is reported
+    assert r.argmax_t == pool[s == s.max()].min()
