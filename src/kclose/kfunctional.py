@@ -73,7 +73,7 @@ class CoupleId:
         object.__setattr__(self, "p0", _parse_exponent(self.p0))
         object.__setattr__(self, "p1", _parse_exponent(self.p1))
         for p in (self.p0, self.p1):
-            if p != np.inf and p < 1:
+            if not p >= 1:
                 raise ValueError(f"exponents must lie in [1, inf], got {p}")
         if not self.p0 < self.p1:
             raise ValueError(f"exponents must be ordered p0 < p1, got {self.p0}, {self.p1}")

@@ -55,9 +55,12 @@ it: ``SchattenNorm`` on one matrix's singular values, ``MixedNorm`` (L^p(C_p),
 p in {1, 2, inf}) on a grid of matrices.  Each gives its value, dual value and
 dual-ball projection; the min-max program also needs the epigraph-cone
 projection, which ``VectorNorm`` and ``SchattenNorm`` give for p in {1, inf}.
-Both run the scans ``_cone_level_inf`` and ``_cone_multiplier_l1`` on a
-descending list of Python floats; ``SchattenNorm`` hands them its singular
-values as the SVD returns them.
+All of these projections run on moduli: the dual balls through the one
+routine ``VectorNorm._project_moduli``, the cones through the scans
+``_cone_level_inf`` and ``_cone_multiplier_l1`` on a descending list of
+Python floats.  Only complex entries get phases back (``_moduli_phases``);
+the Schatten and mixed norms hand over their singular values as the SVD
+returns them.
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 _TINY = np.finfo(float).tiny  # v / |v| can overflow below it; such entries take phase 1
 
 
-def _moduli_phases(v: np.ndarray):
-    m = np.abs(v)
-    return m, np.divide(v, m, out=np.ones_like(v), where=m >= _TINY)
+def _moduli_phases(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The phases v / m of v, given its moduli m = |v|."""
+    if m.min(initial=np.inf) >= _TINY:
+        return v / m
+    return np.divide(v, m, out=np.ones_like(v), where=m >= _TINY)
 
 
 def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
@@ -100,14 +105,15 @@ def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
     if m.sum() <= radius:
         return m.copy()
     u = np.sort(m)[::-1]
-    cum = np.cumsum(u)
-    k = np.arange(1, m.size + 1)
-    # k = 1 always qualifies in exact arithmetic, but not when radius is
-    # below the rounding of the largest entry
-    fits = np.flatnonzero(u - (cum - radius) / k > 0)
-    kk = fits[-1] if fits.size else 0
-    theta = (cum[kk] - radius) / (kk + 1)
-    return np.maximum(m - theta, 0.0)
+    d = u.cumsum()
+    d -= radius
+    d /= np.arange(1.0, m.size + 1)
+    # the last k with u_k > d_k; k = 1 always qualifies in exact arithmetic,
+    # but not when radius is below the rounding of the largest entry
+    fits = (u > d)[::-1]
+    last = int(fits.argmax())
+    out = m - d[m.size - 1 - last if fits[last] else 0]
+    return np.maximum(out, 0.0, out=out)
 
 
 def _lp_norm(v: np.ndarray, p: float) -> float:
@@ -246,19 +252,23 @@ class VectorNorm:
     """
 
     def __init__(self, p: float, weight: float = 1.0):
-        if p != np.inf and p < 1:
+        if not p >= 1:
             raise ValueError(f"exponent must be >= 1, got {p}")
         self.p = float(p)
         self.weight = float(weight)
 
     def value(self, v: np.ndarray) -> float:
-        a = np.abs(v)
+        return self._moduli_value(np.abs(v))
+
+    def _moduli_value(self, a: np.ndarray) -> float:
         if self.p == np.inf:
             return float(a.max()) if a.size else 0.0
         return float((self.weight * np.sum(a**self.p)) ** (1.0 / self.p))
 
     def dual_value(self, y: np.ndarray) -> float:
-        a = np.abs(y)
+        return self._moduli_dual_value(np.abs(y))
+
+    def _moduli_dual_value(self, a: np.ndarray) -> float:
         if not a.size:
             return 0.0
         if self.p == np.inf:
@@ -269,36 +279,42 @@ class VectorNorm:
         return float((np.sum(a**q)) ** (1.0 / q) / self.weight ** (1.0 / self.p))
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
-        """Projection onto {dual_value <= radius}."""
-        m, ph = _moduli_phases(y)
+        """Projection onto {dual_value <= radius}: the phases of y times the
+        projection of its moduli, or at p = 2 a scaling of y itself."""
+        if self.p == 2:
+            return self._project_moduli(y, radius)
+        m = np.abs(y)
+        return _moduli_phases(y, m) * self._project_moduli(m, radius)
+
+    def _project_moduli(self, m: np.ndarray, radius: float) -> np.ndarray:
+        """Projection of a nonnegative real vector onto {dual_value <= radius};
+        at p = 2, where it is a scaling, of any vector."""
         if self.p == 1:
-            return ph * np.minimum(m, radius * self.weight)
+            return np.minimum(m, radius * self.weight)
         if self.p == 2:
             cap = radius * np.sqrt(self.weight)
-            nrm = np.sqrt((m**2).sum())
-            if nrm <= cap:
-                return y.copy()
-            return y * (cap / nrm)
+            nrm = np.sqrt((np.abs(m) ** 2).sum())
+            return m.copy() if nrm <= cap else m * (cap / nrm)
         if self.p == np.inf:
-            return ph * _project_l1_ball(m, radius)
+            return _project_l1_ball(m, radius)
         q = self.p / (self.p - 1.0)
         cap = radius * self.weight ** (1.0 / self.p)
-        return ph * _project_lp_ball(m, q, cap)
+        return _project_lp_ball(m, q, cap)
 
     def cone_project(self, w: np.ndarray, h: float):
         """Projection onto the cone {(v, s): value(v) <= s}."""
-        if self.value(w) <= h:
+        m = np.abs(w)
+        if self._moduli_value(m) <= h:
             return w.copy(), float(h)
-        if self.dual_value(w) <= -h:
+        if self._moduli_dual_value(m) <= -h:
             return np.zeros_like(w), 0.0
-        m, ph = _moduli_phases(w)
         if self.p == np.inf:
             level = _cone_level_inf(np.sort(m)[::-1].tolist(), h)
-            return ph * np.minimum(m, level), float(level)
+            return _moduli_phases(w, m) * np.minimum(m, level), float(level)
         if self.p == 1:
             wgt = self.weight
             lam = _cone_multiplier_l1(m[np.argsort(-m / wgt)].tolist(), h, wgt)
-            return ph * np.maximum(m - lam * wgt, 0.0), float(h + lam)
+            return _moduli_phases(w, m) * np.maximum(m - lam * wgt, 0.0), float(h + lam)
         raise NotImplementedError(f"cone projection not provided for p={self.p}")
 
 
@@ -323,7 +339,7 @@ class SchattenNorm:
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
         u, s, vh = self._svd(y)
-        return ((u * self._vec.project_dual_ball(s, radius)) @ vh).ravel()
+        return ((u * self._vec._project_moduli(s, radius)) @ vh).ravel()
 
     def cone_project(self, w: np.ndarray, h: float):
         """The singular values are already real, nonnegative and descending:
@@ -383,7 +399,7 @@ class MixedNorm:
         if self.p == 2:
             return self._vec.project_dual_ball(y, radius)
         u, s, vh = np.linalg.svd(y.reshape(self.npoints, self.n, self.n))
-        s2 = self._vec.project_dual_ball(s.ravel(), radius).reshape(s.shape)
+        s2 = self._vec._project_moduli(s.ravel(), radius).reshape(s.shape)
         return np.einsum("tij,tj,tjk->tik", u, s2, vh).ravel()
 
 

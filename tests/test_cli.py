@@ -69,6 +69,11 @@ def test_kfunc_bad_couple_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_kfunc_nan_exponent_exits_2(capsys):
+    assert main(["kfunc", "--couple", "seqnan,seq2", "--t", "1.0"]) == 2
+    assert "exponents must lie in [1, inf], got nan" in capsys.readouterr().err
+
+
 def test_kfunc_schatten_needs_payload(capsys):
     assert main(["kfunc", "--couple", "S1,Sinf", "--t", "1.0"]) == 2
 

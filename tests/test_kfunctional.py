@@ -62,6 +62,12 @@ def test_couple_parse_rejects(bad):
         CoupleId.parse(bad)
 
 
+def test_couple_rejects_nan_exponent():
+    # a NaN exponent passed the test p < 1 and was reported as out of order
+    with pytest.raises(ValueError, match=r"exponents must lie in \[1, inf\], got nan"):
+        CoupleId("sequence", np.nan, 2)
+
+
 def test_couple_ambient_and_subspace():
     h = CoupleId.parse("h1,hinf")
     assert h.has_subspace and h.ambient.kind == "lebesgue"

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from kclose import circle, kfunctional
+from kclose import circle, kfunctional, schatten, solver
 from kclose.circle import CircleFunction
 from kclose.kfunctional import CoupleId, _clip_split, kt_bruteforce
 from kclose.solver import (
@@ -43,6 +43,17 @@ def test_vector_norm_value(p, weight):
     a = np.abs(v)
     want = a.max() if p == np.inf else (weight * (a**p).sum()) ** (1 / p)
     assert abs(nrm.value(v) - want) < 1e-12
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: VectorNorm(p),
+    lambda p: circle.lp_norm(CircleFunction.constant(1.0, 8), p),
+    lambda p: schatten.schatten_norm(np.eye(2), p),
+], ids=["VectorNorm", "lp_norm", "schatten_norm"])
+def test_nan_exponent_rejected(entry):
+    # a NaN exponent passed the test p < 1, and the norms returned nan
+    with pytest.raises(ValueError, match="got nan"):
+        entry(np.nan)
 
 
 @pytest.mark.parametrize("p", PS)
@@ -329,6 +340,119 @@ def test_cone_scans_match_the_numpy_reference_bitwise(p, weight):
         seen.add(want[2])
         assert got[0].tobytes() == want[0].tobytes() and type(got[1]) is float and got[1] == want[1]
     assert seen == {"inside", "polar", "scan"}
+
+
+def _reference_l1_ball(m, radius):
+    """The sort-and-scan l^1-ball projection the leaner one replaced, kept as
+    its bitwise reference; also names the branch taken."""
+    if radius <= 0:
+        return np.zeros_like(m), "zero"
+    if m.sum() <= radius:
+        return m.copy(), "inside"
+    u = np.sort(m)[::-1]
+    cum = np.cumsum(u)
+    k = np.arange(1, m.size + 1)
+    fits = np.flatnonzero(u - (cum - radius) / k > 0)
+    kk = fits[-1] if fits.size else 0
+    theta = (cum[kk] - radius) / (kk + 1)
+    return np.maximum(m - theta, 0.0), "scan" if fits.size else "no fit"
+
+
+def _reference_dual_ball(p, wgt, y, radius):
+    """VectorNorm.project_dual_ball as it was before the moduli-level routine:
+    phases for every exponent, formed with a masked division."""
+    m = np.abs(y)
+    ph = np.divide(y, m, out=np.ones_like(y), where=m >= np.finfo(float).tiny)
+    if p == 1:
+        return ph * np.minimum(m, radius * wgt)
+    if p == 2:
+        cap = radius * np.sqrt(wgt)
+        nrm = np.sqrt((m**2).sum())
+        return y.copy() if nrm <= cap else y * (cap / nrm)
+    if p == np.inf:
+        return ph * _reference_l1_ball(m, radius)[0]
+    q = p / (p - 1.0)
+    return ph * _project_lp_ball(m, q, radius * wgt ** (1.0 / p))
+
+
+def _reference_spectral_ball(p, wgt, shape, y, radius):
+    """Schatten and mixed dual-ball projections as they were: the reference
+    vector projection of the singular values, phases included."""
+    u, s, vh = np.linalg.svd(y.reshape(shape))
+    s2 = _reference_dual_ball(p, wgt, s.ravel(), radius).reshape(s.shape)
+    if len(shape) == 2:
+        return ((u * s2) @ vh).ravel()
+    return np.einsum("tij,tj,tjk->tik", u, s2, vh).ravel()
+
+
+def _dual_ball_case(rng, i):
+    """Input i of the bitwise check: (norm, reference, y, moduli or singular values)."""
+    kind = ("vector", "schatten", "mixed")[i % 3]
+    if kind == "vector":
+        p, wgt = rng.choice([1.0, 2.0, 3.0, np.inf]), rng.choice([1.0, 1.0 / 16])
+        nrm, ref = VectorNorm(p, wgt), lambda y, r: _reference_dual_ball(p, wgt, y, r)  # noqa: E731
+        shape = (int(rng.integers(1, 65)),)
+    elif kind == "schatten":
+        n = int(rng.integers(2, 6))
+        p, shape = rng.choice([1.0, 2.0, 3.0, np.inf]), (n, n)
+        nrm, ref = SchattenNorm(p, n), lambda y, r: _reference_spectral_ball(p, 1.0, shape, y, r)  # noqa: E731
+    else:
+        npts, n, p = int(rng.choice([2, 4, 8])), int(rng.integers(1, 3)), rng.choice([1.0, 2.0, np.inf])
+        shape = (npts, n, n)
+        nrm = MixedNorm(p, p, npts, n)
+        if p == 2:
+            ref = lambda y, r: _reference_dual_ball(2.0, 1.0 / npts, y, r)  # noqa: E731
+        else:
+            ref = lambda y, r: _reference_spectral_ball(p, 1.0 / npts, shape, y, r)  # noqa: E731
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if i % 7 == 1:  # zero entries, or a rank-deficient matrix
+        y[..., 0] = 0.0
+    elif i % 7 == 2:  # tied moduli and singular values
+        y = np.round(2.0 * y.real) / 2.0 + 0j
+    elif i % 7 == 3 and kind == "vector":  # a subnormal entry
+        y[0] = 1e-320 + 1e-320j
+    elif i % 7 == 3:  # a subnormal singular value
+        y = np.zeros(shape, complex) + np.eye(shape[-1])
+        y[..., 0, 0] = 1e-320
+    y = (y * rng.choice([1.0, 1e300, 1e-300])).ravel()
+    if kind == "vector":
+        spec = np.abs(y)
+    elif kind == "schatten":
+        spec = np.linalg.svd(y.reshape(shape), compute_uv=False)
+    else:
+        spec = np.abs(nrm._spectrum(y))
+    return nrm, ref, y, spec
+
+
+def test_dual_ball_projections_match_the_reference_bitwise(monkeypatch):
+    # the pinned split and distance iteration counts rest on these
+    # projections to the last bit
+    phase_paths, l1_branches = set(), set()
+    phases, l1_ball = solver._moduli_phases, solver._project_l1_ball
+
+    def spy_phases(v, m):
+        phase_paths.add(bool(m.min(initial=np.inf) >= np.finfo(float).tiny))
+        return phases(v, m)
+
+    def spy_l1_ball(m, radius):
+        out = l1_ball(m, radius)
+        assert out is not m
+        l1_branches.add(_reference_l1_ball(m, radius)[1])
+        return out
+
+    monkeypatch.setattr(solver, "_moduli_phases", spy_phases)
+    monkeypatch.setattr(solver, "_project_l1_ball", spy_l1_ball)
+    rng = np.random.default_rng(28)
+    for i in range(360):
+        nrm, ref, y, spec = _dual_ball_case(rng, i)
+        top, total = float(spec.max()), float(spec.sum())
+        # 0, below the rounding of the top, inside the ball, and >= the sum
+        radius = rng.choice([0.0, top * 2.0**-60, 0.3 * top, 0.5 * total, 0.9 * total, total, 2.0 * total])
+        with np.errstate(over="ignore"):  # |y|^2 of 1e300-scale entries is inf in both
+            want, got = ref(y, radius), nrm.project_dual_ball(y, radius)
+        assert got.tobytes() == want.tobytes()
+    assert phase_paths == {True, False}
+    assert l1_branches == {"zero", "inside", "scan", "no fit"}
 
 
 # The whole (p, q) table. MixedNorm builds only the p = q pairs; each
