@@ -55,12 +55,12 @@ it: ``SchattenNorm`` on one matrix's singular values, ``MixedNorm`` (L^p(C_p),
 p in {1, 2, inf}) on a grid of matrices.  Each gives its value, dual value and
 dual-ball projection; the min-max program also needs the epigraph-cone
 projection, which ``VectorNorm`` and ``SchattenNorm`` give for p in {1, inf}.
-All of these projections run on moduli: the dual balls through the one
-routine ``VectorNorm._project_moduli``, the cones through the scans
-``_cone_level_inf`` and ``_cone_multiplier_l1`` on a descending list of
-Python floats.  Only complex entries get phases back (``_moduli_phases``);
-the Schatten and mixed norms hand over their singular values as the SVD
-returns them.
+These projections run on moduli: the dual balls through the one routine
+``VectorNorm._project_moduli`` (at p = 2 ``VectorNorm`` scales y instead),
+the cones through the scans ``_cone_level_inf`` and ``_cone_multiplier_l1``
+on a descending list of Python floats.  Only complex entries get phases
+back (``_moduli_phases``); the Schatten and mixed norms hand over their
+singular values as the SVD returns them.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 _TINY = np.finfo(float).tiny  # v / |v| can overflow below it; such entries take phase 1
 
 
-def _moduli_phases(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The phases v / m of v, given its moduli m = |v|."""
+def _moduli_phases(v: np.ndarray):
+    m = np.abs(v)
     if m.min(initial=np.inf) >= _TINY:
-        return v / m
-    return np.divide(v, m, out=np.ones_like(v), where=m >= _TINY)
+        return m, v / m
+    return m, np.divide(v, m, out=np.ones_like(v), where=m >= _TINY)
 
 
 def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
@@ -258,17 +258,13 @@ class VectorNorm:
         self.weight = float(weight)
 
     def value(self, v: np.ndarray) -> float:
-        return self._moduli_value(np.abs(v))
-
-    def _moduli_value(self, a: np.ndarray) -> float:
+        a = np.abs(v)
         if self.p == np.inf:
             return float(a.max()) if a.size else 0.0
         return float((self.weight * np.sum(a**self.p)) ** (1.0 / self.p))
 
     def dual_value(self, y: np.ndarray) -> float:
-        return self._moduli_dual_value(np.abs(y))
-
-    def _moduli_dual_value(self, a: np.ndarray) -> float:
+        a = np.abs(y)
         if not a.size:
             return 0.0
         if self.p == np.inf:
@@ -279,22 +275,21 @@ class VectorNorm:
         return float((np.sum(a**q)) ** (1.0 / q) / self.weight ** (1.0 / self.p))
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
-        """Projection onto {dual_value <= radius}: the phases of y times the
-        projection of its moduli, or at p = 2 a scaling of y itself."""
+        """Projection onto {dual_value <= radius}: at p = 2 a scaling of y,
+        otherwise the phases of y times the projection of its moduli."""
         if self.p == 2:
-            return self._project_moduli(y, radius)
-        m = np.abs(y)
-        return _moduli_phases(y, m) * self._project_moduli(m, radius)
+            cap = radius * np.sqrt(self.weight)
+            nrm = np.sqrt((np.abs(y) ** 2).sum())
+            return y.copy() if nrm <= cap else y * (cap / nrm)
+        m, ph = _moduli_phases(y)
+        return ph * self._project_moduli(m, radius)
 
     def _project_moduli(self, m: np.ndarray, radius: float) -> np.ndarray:
-        """Projection of a nonnegative real vector onto {dual_value <= radius};
-        at p = 2, where it is a scaling, of any vector."""
+        """Projection of nonnegative real moduli m onto {dual_value <= radius}."""
         if self.p == 1:
             return np.minimum(m, radius * self.weight)
         if self.p == 2:
-            cap = radius * np.sqrt(self.weight)
-            nrm = np.sqrt((np.abs(m) ** 2).sum())
-            return m.copy() if nrm <= cap else m * (cap / nrm)
+            return self.project_dual_ball(m, radius)
         if self.p == np.inf:
             return _project_l1_ball(m, radius)
         q = self.p / (self.p - 1.0)
@@ -303,18 +298,18 @@ class VectorNorm:
 
     def cone_project(self, w: np.ndarray, h: float):
         """Projection onto the cone {(v, s): value(v) <= s}."""
-        m = np.abs(w)
-        if self._moduli_value(m) <= h:
+        if self.value(w) <= h:
             return w.copy(), float(h)
-        if self._moduli_dual_value(m) <= -h:
+        if self.dual_value(w) <= -h:
             return np.zeros_like(w), 0.0
+        m, ph = _moduli_phases(w)
         if self.p == np.inf:
             level = _cone_level_inf(np.sort(m)[::-1].tolist(), h)
-            return _moduli_phases(w, m) * np.minimum(m, level), float(level)
+            return ph * np.minimum(m, level), float(level)
         if self.p == 1:
             wgt = self.weight
             lam = _cone_multiplier_l1(m[np.argsort(-m / wgt)].tolist(), h, wgt)
-            return _moduli_phases(w, m) * np.maximum(m - lam * wgt, 0.0), float(h + lam)
+            return ph * np.maximum(m - lam * wgt, 0.0), float(h + lam)
         raise NotImplementedError(f"cone projection not provided for p={self.p}")
 
 
