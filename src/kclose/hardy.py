@@ -226,10 +226,14 @@ def simultaneous_approx(
 
     With d1, dinf the separate distances, minimizes
     max(||f-h||_1/d1, ||f-h||_inf/dinf) over analytic h; the achieved max
-    is reported together with both individual ratios.  If either distance
-    is below 1e-10 * max(1, max|f|), f is treated as analytic and h is its
-    Riesz projection (``meta["degenerate"]``).  ``meta["converged"]`` says
-    whether both distances and the min-max stopped at their gap targets.
+    is reported together with both individual ratios.  d1 and dinf are the
+    solvers' primal values, which may exceed the true distances, so
+    ``meta["k_upper"]`` also gives the max over their certified lower
+    bounds: an upper bound on the true ratio (inf where a bound is 0).  If
+    either distance is below 1e-10 * max(1, max|f|), f is treated as
+    analytic and h is its Riesz projection (``meta["degenerate"]``).
+    ``meta["converged"]`` says whether both distances and the min-max
+    stopped at their gap targets.
     """
     mask = AnalyticMask(f.n)
     w = 1.0 / f.n
@@ -249,8 +253,8 @@ def simultaneous_approx(
     )
     h = CircleFunction(circle.riesz_project(CircleFunction(cert.minimizer)).samples)
     diff = CircleFunction(f.samples - h.samples)
-    r1 = circle.lp_norm(diff, 1.0) / d1
-    rinf = circle.lp_norm(diff, np.inf) / dinf
+    e1, einf = circle.lp_norm(diff, 1.0), circle.lp_norm(diff, np.inf)
+    r1, rinf = e1 / d1, einf / dinf
     return SimultaneousResult(
         h=h,
         k_achieved=max(r1, rinf),
@@ -260,6 +264,8 @@ def simultaneous_approx(
         ratio_inf=rinf,
         gap=cert.gap,
         meta={
+            # the ratios over the certified lower bounds of d1 and dinf
+            "k_upper": max(e / c.dual if c.dual > 0 else np.inf for e, c in ((e1, c1), (einf, cinf))),
             "minmax_primal": cert.primal,
             "minmax_dual": cert.dual,
             "d1_gap": c1.gap,

@@ -321,10 +321,12 @@ def simultaneous_triangular_approx(
 ) -> SimultaneousMatrixResult:
     """Minimize max(||x - y||_1/d1, ||x - y||_inf/dinf) over triangular y.
 
-    If either distance is below 1e-10 * max(1, max|x|), x is treated as
-    triangular and y is its triangular part (``meta["degenerate"]``).
-    ``meta["converged"]`` says whether both distances and the min-max
-    stopped at their gap targets.
+    ``meta["k_upper"]`` divides by the distances' certified lower bounds in
+    place of the primal values d1 and dinf, so it bounds the true ratio from
+    above (inf where a bound is 0).  If either distance is below 1e-10 *
+    max(1, max|x|), x is treated as triangular and y is its triangular part
+    (``meta["degenerate"]``).  ``meta["converged"]`` says whether both
+    distances and the min-max stopped at their gap targets.
     """
     m = _square_array(x)
     n = m.shape[0]
@@ -344,8 +346,8 @@ def simultaneous_triangular_approx(
     cert = solve_minmax_distance(m.ravel(), n1, ninf, d1, dinf, mask, tol=tol, max_iter=max_iter)
     xhat = np.triu(cert.minimizer.reshape(n, n))
     diff = m - xhat
-    r1 = schatten_norm(diff, 1.0) / d1
-    rinf = schatten_norm(diff, np.inf) / dinf
+    e1, einf = schatten_norm(diff, 1.0), schatten_norm(diff, np.inf)
+    r1, rinf = e1 / d1, einf / dinf
     return SimultaneousMatrixResult(
         xhat=MatrixOperator(xhat),
         k_achieved=max(r1, rinf),
@@ -355,6 +357,8 @@ def simultaneous_triangular_approx(
         ratio_inf=rinf,
         gap=cert.gap,
         meta={
+            # the ratios over the certified lower bounds of d1 and dinf
+            "k_upper": max(e / c.dual if c.dual > 0 else np.inf for e, c in ((e1, c1), (einf, cinf))),
             "minmax_primal": cert.primal,
             "minmax_dual": cert.dual,
             "d1_gap": c1.gap,

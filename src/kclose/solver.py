@@ -6,12 +6,15 @@ Three program families, all over flat complex variable arrays:
   x - x0 confined to a masked subspace) -- the K-functional as a program;
 * ``solve_distance``:  min  N(x - y)  over y in a masked subspace;
 * ``solve_minmax_distance``:  min  max(Na(x-y)/sa, Nb(x-y)/sb)  over y in a
-  masked subspace, via the epigraph reformulation.
+  masked subspace, via the epigraph reformulation.  The epigraph variable
+  s is iterated as kappa*s with kappa = sqrt(sa*sb), so that ||K|| stays
+  the same when both scales take a common factor; its certificates are in
+  the original units.
 
 All three run on one engine, ``_primal_dual``: the over-relaxed
 primal-dual hybrid-gradient (Chambolle-Pock) iteration.  A program hands it
 
-* its primal and dual blocks -- arrays or scalars, e.g. (y, s) and the
+* its primal and dual blocks -- arrays or scalars, e.g. (y, kappa*s) and the
   polar-cone pairs (za, ra), (zb, rb) for the min-max program;
 * ``norm_sq``, a bound on ||K||^2, and ``balance``, the starting primal
   weight omega (``_balance``);
@@ -60,7 +63,10 @@ These projections run on moduli: the dual balls through the one routine
 the cones through the scans ``_cone_level_inf`` and ``_cone_multiplier_l1``
 on a descending list of Python floats.  Only complex entries get phases
 back (``_moduli_phases``); the Schatten and mixed norms hand over their
-singular values as the SVD returns them.
+singular values as the SVD returns them.  The sums of p-th powers behind the
+finite-p values, dual values and the p = 2 scaling are rescaled by the
+largest modulus only where the plain sum would overflow or fall below the
+smallest normal float (``_power_sum``).
 """
 
 from __future__ import annotations
@@ -114,6 +120,18 @@ def _project_l1_ball(m: np.ndarray, radius: float) -> np.ndarray:
     last = int(fits.argmax())
     out = m - d[m.size - 1 - last if fits[last] else 0]
     return np.maximum(out, 0.0, out=out)
+
+
+def _power_sum(a: np.ndarray, p: float):
+    """(c, s) with c * s^(1/p) = (sum a_i^p)^(1/p) for nonnegative a: c = 1 and
+    the plain sum where that lies in [tiny, inf), else c = max a and the sum of
+    (a_i / c)^p, as in ``_lp_norm``.  Inputs in that range keep their bits."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.sum(a**p)
+        if _TINY <= s < np.inf:
+            return 1.0, s
+        top = float(a.max(initial=0.0))
+        return (top, np.sum((a / top) ** p)) if 0 < top < np.inf else (1.0, s)
 
 
 def _lp_norm(v: np.ndarray, p: float) -> float:
@@ -261,7 +279,8 @@ class VectorNorm:
         a = np.abs(v)
         if self.p == np.inf:
             return float(a.max()) if a.size else 0.0
-        return float((self.weight * np.sum(a**self.p)) ** (1.0 / self.p))
+        c, s = _power_sum(a, self.p)
+        return float(c * (self.weight * s) ** (1.0 / self.p))
 
     def dual_value(self, y: np.ndarray) -> float:
         a = np.abs(y)
@@ -272,14 +291,16 @@ class VectorNorm:
         if self.p == 1:
             return float(a.max() / self.weight)
         q = self.p / (self.p - 1.0)
-        return float((np.sum(a**q)) ** (1.0 / q) / self.weight ** (1.0 / self.p))
+        c, s = _power_sum(a, q)
+        return float(c * s ** (1.0 / q) / self.weight ** (1.0 / self.p))
 
     def project_dual_ball(self, y: np.ndarray, radius: float) -> np.ndarray:
         """Projection onto {dual_value <= radius}: at p = 2 a scaling of y,
         otherwise the phases of y times the projection of its moduli."""
         if self.p == 2:
             cap = radius * np.sqrt(self.weight)
-            nrm = np.sqrt((np.abs(y) ** 2).sum())
+            c, s = _power_sum(np.abs(y), 2)
+            nrm = c * np.sqrt(s)
             return y.copy() if nrm <= cap else y * (cap / nrm)
         m, ph = _moduli_phases(y)
         return ph * self._project_moduli(m, radius)
@@ -699,16 +720,24 @@ def solve_minmax_distance(
     Epigraph form: minimise the scalar s subject to (x - y, sa*s) and
     (x - y, sb*s) lying in the two norm cones; the cone projections are
     exact, so the dual point assembled from the polar blocks is feasible
-    and the reported gap is a certificate.  Primal blocks are (y, s); dual
-    blocks are the two polar-cone pairs (za, ra), (zb, rb).  The subspace
-    enters through the mask's projection of the adjoint, which keeps y in
-    the subspace.
+    and the reported gap is a certificate.  Primal blocks are (y, kappa*s)
+    with kappa = sqrt(sa)*sqrt(sb); dual blocks are the two polar-cone pairs
+    (za, ra), (zb, rb).  Scaling s this way (a diagonal preconditioner, as in
+    Pock and Chambolle, ICCV 2011) gives K the s-column (sa, sb)/kappa, so
+    ||K||^2 <= 2 + (sa^2 + sb^2)/kappa^2 stays the same when both scales are
+    multiplied by a common factor; unscaled, every step shrank with them.  The
+    certificate reads only y and the polar blocks, so its value, lower bound,
+    witness and stop test are in the original units.  The subspace enters
+    through the mask's projection of the adjoint, which keeps y in the
+    subspace.
     """
     if scale_a <= 0 or scale_b <= 0:
         raise ValueError("distance scales must be positive")
     x = np.asarray(target, dtype=np.complex128).ravel()
     u = subspace.project(x)
     s_var = max(norm_a.value(x - u) / scale_a, norm_b.value(x - u) / scale_b)
+    kappa = float(np.sqrt(scale_a) * np.sqrt(scale_b))  # the iterate is kappa*s; roots cannot overflow
+    ka, kb = scale_a / kappa, scale_b / kappa
 
     def polar_project(norm, w, h):
         pw, ph = norm.cone_project(w, h)
@@ -716,13 +745,13 @@ def solve_minmax_distance(
 
     def adjoint(z):
         za, ra, zb, rb = z
-        return [-subspace.project(za + zb), scale_a * ra + scale_b * rb + 1.0]
+        return [-subspace.project(za + zb), ka * ra + kb * rb + 1.0 / kappa]
 
     def dual_step(z, bar, sigma):
         za, ra, zb, rb = z
         ub, sb_ = bar
-        za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * scale_a * sb_)
-        zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * scale_b * sb_)
+        za_new, ra_new = polar_project(norm_a, za + sigma * (x - ub), ra + sigma * ka * sb_)
+        zb_new, rb_new = polar_project(norm_b, zb + sigma * (x - ub), rb + sigma * kb * sb_)
         return [za_new, ra_new, zb_new, rb_new]
 
     def certificate(primal, z):
@@ -739,5 +768,5 @@ def solve_minmax_distance(
             subspace_residual=float(np.abs(subspace.antiproject(u)).max()))
 
     dual = [np.zeros_like(x), 0.0, np.zeros_like(x), 0.0]
-    return _primal_dual([u, s_var], dual, 2.0 + scale_a**2 + scale_b**2, 1.0, adjoint, dual_step, certificate,
+    return _primal_dual([u, kappa * s_var], dual, 2.0 + ka**2 + kb**2, 1.0, adjoint, dual_step, certificate,
                         tol, max_iter)

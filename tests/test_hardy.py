@@ -239,6 +239,16 @@ def test_simultaneous_random_sweep():
         assert max(res.ratio_1, res.ratio_inf) <= res.k_achieved + 1e-9
 
 
+def test_simultaneous_upper_ratio_bounds_the_achieved_one():
+    f = rand_trig(16, 700)
+    res = hardy.simultaneous_approx(f, tol=1e-5)
+    diff = CircleFunction(f.samples - res.h.samples)
+    lower1, lowerinf = res.d1 - res.meta["d1_gap"], res.dinf - res.meta["dinf_gap"]
+    want = max(circle.lp_norm(diff, 1.0) / lower1, circle.lp_norm(diff, np.inf) / lowerinf)
+    assert res.meta["k_upper"] == pytest.approx(want, rel=1e-12)
+    assert res.k_achieved <= res.meta["k_upper"] < np.inf
+
+
 # (seed, grid, input): the analytic L1 distance of these trig inputs stalled
 # unconverged at 400,000 iterations under a fixed primal weight
 @pytest.mark.parametrize("seed,n,index", [(4, 16, 4), (10, 32, 17)])

@@ -293,6 +293,16 @@ def test_simultaneous_triangular_random():
     assert abs(got1 - res.ratio_1) < 1e-9
 
 
+def test_simultaneous_triangular_upper_ratio_bounds_the_achieved_one():
+    x = rand_mat(3, 23)
+    res = simultaneous_triangular_approx(x, tol=1e-5)
+    diff = MatrixOperator(x.entries - res.xhat.entries)
+    lower1, lowerinf = res.d1 - res.meta["d1_gap"], res.dinf - res.meta["dinf_gap"]
+    want = max(schatten_norm(diff, 1.0) / lower1, schatten_norm(diff, np.inf) / lowerinf)
+    assert res.meta["k_upper"] == pytest.approx(want, rel=1e-12)
+    assert res.k_achieved <= res.meta["k_upper"] < np.inf
+
+
 def test_simultaneous_triangular_degenerate():
     x = rand_tri(3, 29)
     res = simultaneous_triangular_approx(x)
