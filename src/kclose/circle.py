@@ -46,9 +46,14 @@ def _check_grid_size(n: int) -> None:
 
 
 class CircleFunction:
-    """Immutable complex samples on the N-point circle grid."""
+    """Immutable complex samples on the N-point circle grid.
 
-    __slots__ = ("samples", "_coeffs")
+    The samples are read-only, so a function keeps what is computed from them
+    alone: its Fourier coefficients (``_coeffs``) and its square-root
+    factorization (``_sqrt``, filled by ``factorize.sqrt_factor``).
+    """
+
+    __slots__ = ("samples", "_coeffs", "_sqrt")
 
     def __init__(self, samples):
         samples = np.array(samples, dtype=np.complex128)
@@ -60,6 +65,7 @@ class CircleFunction:
         samples.setflags(write=False)
         self.samples = samples
         self._coeffs = None
+        self._sqrt = None
 
     @property
     def n(self) -> int:

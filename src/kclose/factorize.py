@@ -53,17 +53,19 @@ class BoundaryZeroWarning(UserWarning):
 class BlaschkeProduct:
     """Finite Blaschke product, normalised so each factor is positive at 0.
 
-    ``zeros`` lie strictly inside the disc; ``rotation`` is a unimodular
-    constant absorbing the phase left over after normalisation.
+    ``zeros`` lie strictly inside the disc and are a read-only copy of the
+    caller's array; ``rotation`` is a unimodular constant absorbing the phase
+    left over after normalisation.
     """
 
     zeros: np.ndarray
     rotation: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
+        z = np.array(self.zeros, dtype=np.complex128, ndmin=1)
         if z.size and np.abs(z).max() > 1.0 - ZERO_MARGIN:
             raise ValueError("Blaschke zeros must stay a margin inside the disc")
+        z.setflags(write=False)
         object.__setattr__(self, "zeros", z)
         r = complex(self.rotation)
         if abs(abs(r) - 1.0) > 1e-8:
@@ -216,14 +218,18 @@ def sqrt_factor(f: CircleFunction) -> SqrtFactorization:
 
     |F|^2 = max(|f|, eps_zero) on the grid, eps_zero = 1e-12 * max|f|, so F
     is bounded away from zero and dividing by it is stable; the price is the
-    reported residual when f itself nearly vanishes somewhere.
+    reported residual when f itself nearly vanishes somewhere.  The result is
+    computed once per function and kept on f, whose samples are read-only, so
+    a boundary-zero warning is issued on the first call only.
     """
-    zeros, b, mod, eps_zero = _inner_outer_preamble(f, "sqrt_factor")
-    out = outer_function(np.sqrt(mod))
-    approx = b * out.boundary.samples**2
-    rot = _fit_rotation(f, approx)
-    return SqrtFactorization(blaschke=BlaschkeProduct(zeros, rotation=rot), outer=out,
-                             residual=_relative_residual(f, rot * approx), eps_zero=eps_zero)
+    if f._sqrt is None:
+        zeros, b, mod, eps_zero = _inner_outer_preamble(f, "sqrt_factor")
+        out = outer_function(np.sqrt(mod))
+        approx = b * out.boundary.samples**2
+        rot = _fit_rotation(f, approx)
+        f._sqrt = SqrtFactorization(blaschke=BlaschkeProduct(zeros, rotation=rot), outer=out,
+                                    residual=_relative_residual(f, rot * approx), eps_zero=eps_zero)
+    return f._sqrt
 
 
 @dataclass(frozen=True)

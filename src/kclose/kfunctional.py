@@ -304,15 +304,12 @@ def best_truncation_level(values: np.ndarray, weight: float, p0: float, p1: floa
     if top == 0.0:
         return 0.0, 0.0
     v = np.sort(values)[::-1] / top  # scaled, so that no power overflows
-
-    def cost(lam: float) -> float:
-        flat = np.minimum(v, lam)
-        c0 = (weight * np.sum((v - flat) ** p0)) ** (1.0 / p0)
-        c1 = (weight * np.sum(flat**p1)) ** (1.0 / p1)
-        return float(c0 + t * c1)
-
-    b = np.unique(np.append(v, 0.0))  # the pieces' ends, 0 = b[0] < ... < b[-1] = 1
-    k = v.size - np.searchsorted(v[::-1], b)  # k[j] values are >= b[j]
+    # the pieces' ends, 0 = b[0] < ... < b[-1] = 1: the first of each run of
+    # equal values in ascending order, after 0; k[j] values are >= b[j]
+    ascending = v[::-1]
+    first = np.flatnonzero(np.concatenate(([ascending[0] > 0.0], ascending[1:] != ascending[:-1])))
+    b = np.concatenate(([0.0], ascending[first]))
+    k = v.size - np.concatenate(([0], first))
     # slope of the p0 term at b[j]: -w*sum(u^(p0-1)) * (w*sum(u^p0))^(1/p0-1)
     # for u = (v - b[j])_+ over its largest entry, and -(w*k)^(1/p0) at the top
     u = np.maximum(v[:, None] - b[:-1], 0.0) / (1.0 - b[:-1])
@@ -354,7 +351,13 @@ def best_truncation_level(values: np.ndarray, weight: float, p0: float, p1: floa
             if not lo < lam < hi:
                 lam = 0.5 * (lo + hi)
         levels.append(float(lam))
-    best_cost, best_level = min((cost(lam), lam) for lam in levels)
+    # every candidate's sums in one pass: each row is C-contiguous, so np.sum adds
+    # it in the same pairwise order as a 1-D sum; the roots are taken on scalars,
+    # since np.power on an array may round differently from the scalar pow
+    flat = np.minimum(v, np.array(levels)[:, None])
+    s0, s1 = weight * np.sum((v - flat) ** p0, axis=1), weight * np.sum(flat**p1, axis=1)
+    costs = [float(a ** (1.0 / p0) + t * c ** (1.0 / p1)) for a, c in zip(s0, s1)]
+    best_cost, best_level = min(zip(costs, levels))
     return top * best_level, top * best_cost
 
 

@@ -72,9 +72,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatrixOperator:
-    """A square complex matrix with JSON plumbing."""
+    """A square complex matrix with JSON plumbing.
+
+    ``entries`` is a read-only copy, so the operator keeps the t-independent
+    part of :func:`decompose_t1_tq` in ``_roots``: the default eps_reg, |x|
+    and the triangular square roots of one eps_reg.
+    """
 
     entries: np.ndarray
+    _roots: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.complex128)
@@ -205,13 +211,37 @@ def kt_schatten(x, p0: float, p1: float, t: float, tol: float = 1e-9) -> float:
 # triangular base-case splits and the squaring decomposition
 
 
-def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float):
+def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float, svd=None):
     """Project the best ambient truncation split onto the triangular algebra:
-    clip the singular values of m at the best level, keep the part above."""
-    u, s, vh = np.linalg.svd(m)
+    clip the singular values of m at the best level, keep the part above.
+    ``svd`` is m's ``np.linalg.svd`` where the caller has it already."""
+    u, s, vh = np.linalg.svd(m) if svd is None else svd
     lam, ambient = best_truncation_level(s, 1.0, p0, p1, t)
     a0 = np.triu(m - (u * np.minimum(s, lam)) @ vh)
     return a0, m - a0, {"level": lam, "ambient_cost": ambient}
+
+
+def _square_roots(m: np.ndarray, eps_reg: float | None, cache: dict):
+    """The t-independent part of :func:`decompose_t1_tq`: eps_reg (1e-8 *
+    ||m||_inf where None) and, for eps in (eps_reg, eps_reg/2), the roots
+    ((a, svd(a)), (b, svd(b))) of m = ab, b the upper Cholesky factor of
+    |m| + eps*I.  ``cache`` keeps the default eps_reg, |m| and the roots of the
+    last eps_reg asked for; m must not change while it is kept."""
+    if eps_reg is None:
+        if "eps_default" not in cache:
+            cache["eps_default"] = 1e-8 * schatten_norm(m, np.inf)
+        eps_reg = cache["eps_default"]
+    held = cache.get("roots")  # (eps_reg, roots), replaced as one value
+    if held is None or held[0] != eps_reg:
+        if "absx" not in cache:
+            cache["absx"] = _herm_power(m.conj().T @ m, 0.5)
+        roots = []
+        for eps in (eps_reg, eps_reg / 2.0):
+            b = scipy.linalg.cholesky(cache["absx"] + eps * np.eye(m.shape[0]), lower=False)
+            a = scipy.linalg.solve_triangular(b.T, m.T, lower=True).T
+            roots.append(((a, np.linalg.svd(a)), (b, np.linalg.svd(b))))
+        held = cache["roots"] = (eps_reg, roots)
+    return eps_reg, held[1]
 
 
 def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> CoupleDecomposition:
@@ -222,8 +252,13 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
     (2, 2q) by level truncation plus triangular projection, and the cross
     products are placed by a further split at t.  Reconstruction is exact
     for any eps because a b = x by construction; the cost's eps dependence
-    is removed by Richardson extrapolation across eps and eps/2, and the
-    returned split is the eps/2 one.
+    is removed by Richardson extrapolation across eps = eps_reg and eps/2,
+    and the returned split is the eps/2 one, which ``meta`` describes
+    (``eps``, ``a_norms``, ``b_norms``, ``cross_levels``; ``cost_eps`` is the
+    eps_reg run's cost and ``expansion_residual`` the larger of the two).
+    eps_reg defaults to 1e-8 * ||x||_inf.  The roots and their SVDs do not
+    depend on t: a :class:`MatrixOperator` x keeps them for its last
+    eps_reg, so a sweep over t factors x once.
     """
     q = float(q)
     if not (1.0 < q < np.inf):
@@ -231,48 +266,41 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
     m = _square_array(x)
-    n = m.shape[0]
     couple = CoupleId("triangular", 1, q)
     if not np.any(m):
         z = np.zeros_like(m)
         return make_decomposition(couple, t, x, z, z.copy())
     require_member("triangular", m, "decompose_t1_tq input")
-    if eps_reg is None:
-        eps_reg = 1e-8 * schatten_norm(m, np.inf)
-    absx = _herm_power(m.conj().T @ m, 0.5)
+    eps_reg, roots = _square_roots(m, eps_reg, x._roots if isinstance(x, MatrixOperator) else {})
+    p = 1.0 / (0.5 + 0.5 / q)
 
-    def run(eps: float):
-        b = scipy.linalg.cholesky(absx + eps * np.eye(n), lower=False)
-        a = scipy.linalg.solve_triangular(b.T, m.T, lower=True).T
-        a0, a1, ameta = _triangular_base_split(a, 2.0, 2.0 * q, np.sqrt(t))
-        b0, b1, bmeta = _triangular_base_split(b, 2.0, 2.0 * q, np.sqrt(t))
+    def run(root_pair):
+        (a, asvd), (b, bsvd) = root_pair
+        a0, a1, ameta = _triangular_base_split(a, 2.0, 2.0 * q, np.sqrt(t), asvd)
+        b0, b1, bmeta = _triangular_base_split(b, 2.0, 2.0 * q, np.sqrt(t), bsvd)
         main0, main1 = a0 @ b0, a1 @ b1
         cross = a0 @ b1 + a1 @ b0
-        p = 1.0 / (0.5 + 0.5 / q)
         c0, _, cmeta = _triangular_base_split(cross, (1.0 + p) / 2.0, q, t)
         x0 = main0 + c0
-        x1 = m - x0
-        cost = schatten_norm(x0, 1.0) + t * schatten_norm(x1, q)
-        detail = {
-            "eps": eps,
-            "a_norms": (schatten_norm(a0, 2.0), schatten_norm(a1, 2.0 * q)),
-            "b_norms": (schatten_norm(b0, 2.0), schatten_norm(b1, 2.0 * q)),
-            "cross_levels": (ameta["level"], bmeta["level"], cmeta["level"]),
-            "expansion_residual": float(np.abs(main0 + main1 + cross - m).max()),
-        }
-        return x0, x1, cost, detail
+        residual = float(np.abs(main0 + main1 + cross - m).max())
+        return x0, residual, (a0, a1, b0, b1), (ameta["level"], bmeta["level"], cmeta["level"])
 
-    _, _, cost, detail = run(eps_reg)
-    x0, x1, cost_h, detail_h = run(eps_reg / 2.0)
-    meta = {
-        "eps_reg": eps_reg,
-        "cost_eps": cost,
-        **detail,
-        "cost_eps_half": cost_h,
-        "cost_extrapolated": 2.0 * cost_h - cost,
-        "expansion_residual": max(detail["expansion_residual"], detail_h["expansion_residual"]),
-    }
-    return make_decomposition(couple, t, x, x0, x1, meta=meta)
+    x0, residual, _, _ = run(roots[0])
+    cost = schatten_norm(x0, 1.0) + t * schatten_norm(m - x0, q)
+    x0, residual_h, (a0, a1, b0, b1), levels = run(roots[1])
+    dec = make_decomposition(couple, t, x, x0, m - x0)
+    dec.meta.update(
+        eps_reg=eps_reg,
+        cost_eps=cost,
+        eps=eps_reg / 2.0,
+        a_norms=(schatten_norm(a0, 2.0), schatten_norm(a1, 2.0 * q)),
+        b_norms=(schatten_norm(b0, 2.0), schatten_norm(b1, 2.0 * q)),
+        cross_levels=levels,
+        expansion_residual=max(residual, residual_h),
+        cost_eps_half=dec.cost,
+        cost_extrapolated=2.0 * dec.cost - cost,
+    )
+    return dec
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Blaschke products, outer functions, and multiplicative splittings."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ def test_blaschke_each_factor_positive_at_origin():
     b = BlaschkeProduct(np.array([0.3 + 0.2j]))
     assert b(np.array([0.0]))[0].real > 0
     assert abs(b(np.array([0.0]))[0].imag) < 1e-14
+
+
+def test_blaschke_zeros_are_a_read_only_copy():
+    # a factorization kept on its function must not change under the caller
+    z = np.array([0.25, -0.1 + 0.4j])
+    b = BlaschkeProduct(z)
+    assert not np.shares_memory(b.zeros, z)
+    with pytest.raises(ValueError):
+        b.zeros[0] = 0.5
+    z[0] = 0.9
+    assert b.zeros[0] == 0.25
+    assert BlaschkeProduct(0.5).zeros.shape == (1,)
 
 
 def test_blaschke_rejects_boundary_zeros_and_bad_rotation():
@@ -159,6 +173,19 @@ def test_sqrt_factor_warns_near_boundary_zero():
         fac = sqrt_factor(f)
     # the near-circle zero is absorbed into the outer part, not the Blaschke
     assert fac.blaschke.degree == 1
+
+
+def test_sqrt_factor_is_kept_on_the_function():
+    z = np.exp(2j * np.pi * np.arange(32) / 32)
+    f = CircleFunction((z - (1.0 + 1e-10)) * (z - 0.2))
+    with pytest.warns(BoundaryZeroWarning):
+        fac = sqrt_factor(f)
+    # the second call returns the same factorization, without a second warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sqrt_factor(f) is fac
+    with pytest.warns(BoundaryZeroWarning):
+        assert sqrt_factor(CircleFunction(f.samples)) is not fac
 
 
 def test_sqrt_factor_rejects_non_analytic():

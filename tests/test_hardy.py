@@ -141,6 +141,19 @@ def test_squaring_route_scales_linearly():
     assert abs(d5.cost - 5.0 * d1.cost) < 1e-6 * d5.cost
 
 
+def test_squaring_route_reuses_the_square_root_bit_for_bit():
+    # f keeps its square-root factorization; a fresh copy factors again (both
+    # are built from samples: from_coeffs keeps its coefficients, not the FFT's)
+    f = CircleFunction(generate_instance("analytic_poly", ExperimentConfig(seed=3), 4, grid_n=32).samples)
+    for q in (1.5, 2.0, 4.0):
+        for t in (0.3, 1.0, 3.0):
+            d, e = hardy.decompose_h1_hq(f, q, t), hardy.decompose_h1_hq(CircleFunction(f.samples), q, t)
+            assert d.x0.samples.tobytes() == e.x0.samples.tobytes()
+            assert d.x1.samples.tobytes() == e.x1.samples.tobytes()
+            assert np.float64(d.cost).tobytes() == np.float64(e.cost).tobytes()
+            assert d.meta == e.meta
+
+
 def test_squaring_route_rejects_bad_q():
     f = rand_analytic(16, 3)
     for bad in (1.0, np.inf, 0.5):

@@ -1,6 +1,7 @@
 """Property tests of the masked (H^1, H^inf) split on small grids, of the
 exact ambient (1, q) split that certifies itself before any iteration, of
-the exact level of the ambient truncation split, and of the weak-type
+the exact level of the ambient truncation split and the order in which its
+costs are summed, and of the weak-type
 embedding value read off its sorted pool."""
 
 import numpy as np
@@ -196,6 +197,28 @@ def test_truncation_level_is_the_global_minimum(values, uniform, p0, gap, log_t,
     scale = 10.0**log_c
     _, scaled = best_truncation_level(v * scale, weight, p0, p1, t)
     assert abs(scaled - scale * c) <= 1e-12 * scale * c
+
+
+# numpy's pairwise summation starts at 8 terms; ties and zeros make equal rows
+SUMMED_VALUES = st.sampled_from([1, 6, 7, 8, 9, 32]).flatmap(lambda n: st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(values=SUMMED_VALUES, uniform=st.booleans(), p0=st.floats(1.01, 7.5), gap=st.floats(0.01, 1.0),
+       log_t=st.floats(-2.0, 2.0))
+def test_truncation_cost_is_the_one_row_sum_bit_for_bit(values, uniform, p0, gap, log_t):
+    # all candidates' costs are summed as rows of one array; with the top value
+    # 1 the returned cost is the plain 1-D clip cost at the returned level
+    v = np.array(values)
+    assume(v.max() > 0)
+    v = np.sort(v / v.max())[::-1]
+    weight = 1.0 / v.size if uniform else 1.0
+    p1, t = p0 + gap * (8.0 - p0), 10.0**log_t
+    lam, c = best_truncation_level(v, weight, p0, p1, t)
+    flat = np.minimum(v, lam)
+    c0 = (weight * np.sum((v - flat) ** p0)) ** (1.0 / p0)
+    assert c == float(c0 + t * (weight * np.sum(flat**p1)) ** (1.0 / p1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

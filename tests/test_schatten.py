@@ -218,6 +218,43 @@ def test_decompose_triangular_eps_insensitive_reconstruction():
     assert abs(d1.cost - d2.cost) < 1e-3 * max(1.0, d1.cost)
 
 
+def _same_split(d, e):
+    """x0, x1, cost and meta agree bit for bit."""
+    for a, b in ((d.x0, e.x0), (d.x1, e.x1)):
+        assert np.asarray(getattr(a, "entries", a)).tobytes() == np.asarray(getattr(b, "entries", b)).tobytes()
+    assert np.float64(d.cost).tobytes() == np.float64(e.cost).tobytes()
+    assert d.meta == e.meta
+
+
+def test_decompose_triangular_meta_describes_the_returned_split():
+    # the eps_reg run's eps, factor norms and levels were reported next to
+    # the eps_reg/2 run's split and cost
+    x = harness.generate_instance("triangular_matrix", harness.ExperimentConfig(seed=1), 0)
+    dec = decompose_t1_tq(x, 2.0, 1.0)
+    assert dec.meta["eps"] == dec.meta["eps_reg"] / 2
+    assert dec.meta["cost_eps_half"] == dec.cost
+    assert dec.meta["cost_extrapolated"] == 2.0 * dec.cost - dec.meta["cost_eps"]
+
+
+def test_decompose_triangular_reuses_the_roots_bit_for_bit():
+    x = harness.generate_instance("triangular_matrix", harness.ExperimentConfig(seed=3), 2)
+    for t in np.logspace(-1.5, 1.5, 8):
+        _same_split(decompose_t1_tq(x, 2.0, float(t)), decompose_t1_tq(MatrixOperator(x.entries), 2.0, float(t)))
+    # a plain array takes the same path without a cache
+    _same_split(decompose_t1_tq(x, 2.0, 0.7), decompose_t1_tq(np.array(x.entries), 2.0, 0.7))
+
+
+def test_decompose_triangular_keeps_the_roots_of_one_eps_reg():
+    x = rand_tri(5, 23)
+    scale = schatten_norm(x, np.inf)
+    for eps_reg in (1e-6 * scale, 1e-9 * scale, 1e-6 * scale):
+        _same_split(decompose_t1_tq(x, 3.0, 0.5, eps_reg=eps_reg),
+                    decompose_t1_tq(MatrixOperator(x.entries), 3.0, 0.5, eps_reg=eps_reg))
+        held, roots = x._roots["roots"]  # one eps_reg's roots at a time
+        assert held == eps_reg and len(roots) == 2
+    assert "_roots" not in repr(x)
+
+
 def test_decompose_triangular_rejects_bad_inputs():
     x = rand_tri(3, 19)
     with pytest.raises(ValueError):
