@@ -1,8 +1,8 @@
 """Property tests of the masked (H^1, H^inf) split on small grids, of the
 exact ambient (1, q) split that certifies itself before any iteration, of
 the exact level of the ambient truncation split and the order in which its
-costs are summed, and of the weak-type
-embedding value read off its sorted pool."""
+costs are summed, and of the weak-type embedding value read off its sorted
+pool."""
 
 import numpy as np
 import pytest
