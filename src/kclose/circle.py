@@ -145,10 +145,7 @@ def fourier_coeffs(f: CircleFunction) -> np.ndarray:
 def from_coeffs(coeffs: np.ndarray) -> CircleFunction:
     """Inverse of :func:`fourier_coeffs` (coefficients in FFT order)."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    g = CircleFunction(np.fft.ifft(coeffs * coeffs.size))
-    g._coeffs = coeffs.copy()
-    g._coeffs.setflags(write=False)
-    return g
+    return CircleFunction(np.fft.ifft(coeffs * coeffs.size))
 
 
 def riesz_project(f: CircleFunction) -> CircleFunction:

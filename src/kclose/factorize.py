@@ -155,6 +155,8 @@ def outer_function(w) -> OuterFunction:
 def _polynomial_zeros(f: CircleFunction) -> np.ndarray:
     """Zeros inside the disc of the analytic polynomial carried by f."""
     coeffs = circle.fourier_coeffs(f)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("Fourier coefficients overflow; rescale the samples")
     freqs = circle.frequencies(f.n)
     order = np.argsort(freqs)
     c = coeffs[order][freqs[order] >= 0]

@@ -155,7 +155,7 @@ def require_member(kind: str, arr, what: str) -> None:
     subspace, up to ``MEMBER_TOL[kind]`` relative to max(1, max|arr|)."""
     arr = np.asarray(arr)
     res = _membership_residual(kind, arr)
-    if res > MEMBER_TOL[kind] * max(1.0, float(np.abs(arr).max())):
+    if not res <= MEMBER_TOL[kind] * max(1.0, float(np.abs(arr).max())):
         raise ValueError(f"{what} must lie in the {_SUBSPACE_NAME[kind]} subspace (residual {res:.2e})")
 
 

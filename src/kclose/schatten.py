@@ -11,7 +11,7 @@ The module provides
 * the reduction of matrix K-functionals to the singular-value sequence,
   with a convex matrix-level oracle available for cross-checking;
 * the squaring decomposition of a triangular matrix for the (1, q) couple,
-  with epsilon-regularisation and Richardson extrapolation of the cost;
+  through one epsilon-regularised pair of triangular square roots;
 * distances to the triangular algebra (corner block formula and convex
   oracles) and the simultaneous two-norm approximation;
 * matrix-valued grid functions, their Toeplitz-Cholesky outer factor, and
@@ -76,7 +76,7 @@ class MatrixOperator:
 
     ``entries`` is a read-only copy, so the operator keeps the t-independent
     part of :func:`decompose_t1_tq` in ``_roots``: the default eps_reg, |x|
-    and the triangular square roots of one eps_reg.
+    and the triangular square-root pair of one eps_reg.
     """
 
     entries: np.ndarray
@@ -223,7 +223,7 @@ def _triangular_base_split(m: np.ndarray, p0: float, p1: float, t: float, svd=No
 
 def _square_roots(m: np.ndarray, eps_reg: float | None, cache: dict):
     """The t-independent part of :func:`decompose_t1_tq`: eps_reg (1e-8 *
-    ||m||_inf where None) and, for eps in (eps_reg, eps_reg/2), the roots
+    ||m||_inf where None) and, for eps = eps_reg/2, the roots
     ((a, svd(a)), (b, svd(b))) of m = ab, b the upper Cholesky factor of
     |m| + eps*I.  ``cache`` keeps the default eps_reg, |m| and the roots of the
     last eps_reg asked for; m must not change while it is kept."""
@@ -235,30 +235,26 @@ def _square_roots(m: np.ndarray, eps_reg: float | None, cache: dict):
     if held is None or held[0] != eps_reg:
         if "absx" not in cache:
             cache["absx"] = _herm_power(m.conj().T @ m, 0.5)
-        roots = []
-        for eps in (eps_reg, eps_reg / 2.0):
-            b = scipy.linalg.cholesky(cache["absx"] + eps * np.eye(m.shape[0]), lower=False)
-            a = scipy.linalg.solve_triangular(b.T, m.T, lower=True).T
-            roots.append(((a, np.linalg.svd(a)), (b, np.linalg.svd(b))))
-        held = cache["roots"] = (eps_reg, roots)
+        b = scipy.linalg.cholesky(cache["absx"] + eps_reg / 2.0 * np.eye(m.shape[0]), lower=False)
+        a = scipy.linalg.solve_triangular(b.T, m.T, lower=True).T
+        held = cache["roots"] = (eps_reg, ((a, np.linalg.svd(a)), (b, np.linalg.svd(b))))
     return eps_reg, held[1]
 
 
 def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> CoupleDecomposition:
     """Squaring decomposition of triangular x for the (1, q) couple.
 
-    b is the upper Cholesky factor of |x| + eps*I and a = x b^{-1}, so both
-    are triangular square roots of x; each splits at sqrt(t) in exponents
-    (2, 2q) by level truncation plus triangular projection, and the cross
-    products are placed by a further split at t.  Reconstruction is exact
-    for any eps because a b = x by construction; the cost's eps dependence
-    is removed by Richardson extrapolation across eps = eps_reg and eps/2,
-    and the returned split is the eps/2 one, which ``meta`` describes
-    (``eps``, ``a_norms``, ``b_norms``, ``cross_levels``; ``cost_eps`` is the
-    eps_reg run's cost and ``expansion_residual`` the larger of the two).
-    eps_reg defaults to 1e-8 * ||x||_inf.  The roots and their SVDs do not
-    depend on t: a :class:`MatrixOperator` x keeps them for its last
-    eps_reg, so a sweep over t factors x once.
+    b is the upper Cholesky factor of |x| + eps*I, eps = eps_reg/2, and
+    a = x b^{-1}, so both are triangular square roots of x; each splits at
+    sqrt(t) in exponents (2, 2q) by level truncation plus triangular
+    projection, and the cross products are placed by a further split at t.
+    Reconstruction is exact for any eps because a b = x by construction.
+    ``meta`` describes the split (``eps_reg``, ``eps``, ``a_norms``,
+    ``b_norms``, ``cross_levels`` and ``expansion_residual``, the largest
+    entry of a0 b0 + a1 b1 + cross - x).  eps_reg defaults to
+    1e-8 * ||x||_inf.  The roots and their SVDs do not depend on t: a
+    :class:`MatrixOperator` x keeps them for its last eps_reg, so a sweep
+    over t factors x once.
     """
     q = float(q)
     if not (1.0 < q < np.inf):
@@ -271,34 +267,23 @@ def decompose_t1_tq(x, q: float, t: float, eps_reg: float | None = None) -> Coup
         z = np.zeros_like(m)
         return make_decomposition(couple, t, x, z, z.copy())
     require_member("triangular", m, "decompose_t1_tq input")
-    eps_reg, roots = _square_roots(m, eps_reg, x._roots if isinstance(x, MatrixOperator) else {})
+    cache = x._roots if isinstance(x, MatrixOperator) else {}
+    eps_reg, ((a, asvd), (b, bsvd)) = _square_roots(m, eps_reg, cache)
     p = 1.0 / (0.5 + 0.5 / q)
-
-    def run(root_pair):
-        (a, asvd), (b, bsvd) = root_pair
-        a0, a1, ameta = _triangular_base_split(a, 2.0, 2.0 * q, np.sqrt(t), asvd)
-        b0, b1, bmeta = _triangular_base_split(b, 2.0, 2.0 * q, np.sqrt(t), bsvd)
-        main0, main1 = a0 @ b0, a1 @ b1
-        cross = a0 @ b1 + a1 @ b0
-        c0, _, cmeta = _triangular_base_split(cross, (1.0 + p) / 2.0, q, t)
-        x0 = main0 + c0
-        residual = float(np.abs(main0 + main1 + cross - m).max())
-        return x0, residual, (a0, a1, b0, b1), (ameta["level"], bmeta["level"], cmeta["level"])
-
-    x0, residual, _, _ = run(roots[0])
-    cost = schatten_norm(x0, 1.0) + t * schatten_norm(m - x0, q)
-    x0, residual_h, (a0, a1, b0, b1), levels = run(roots[1])
+    a0, a1, ameta = _triangular_base_split(a, 2.0, 2.0 * q, np.sqrt(t), asvd)
+    b0, b1, bmeta = _triangular_base_split(b, 2.0, 2.0 * q, np.sqrt(t), bsvd)
+    main0, main1 = a0 @ b0, a1 @ b1
+    cross = a0 @ b1 + a1 @ b0
+    c0, _, cmeta = _triangular_base_split(cross, (1.0 + p) / 2.0, q, t)
+    x0 = main0 + c0
     dec = make_decomposition(couple, t, x, x0, m - x0)
     dec.meta.update(
         eps_reg=eps_reg,
-        cost_eps=cost,
         eps=eps_reg / 2.0,
         a_norms=(schatten_norm(a0, 2.0), schatten_norm(a1, 2.0 * q)),
         b_norms=(schatten_norm(b0, 2.0), schatten_norm(b1, 2.0 * q)),
-        cross_levels=levels,
-        expansion_residual=max(residual, residual_h),
-        cost_eps_half=dec.cost,
-        cost_extrapolated=2.0 * dec.cost - cost,
+        cross_levels=(ameta["level"], bmeta["level"], cmeta["level"]),
+        expansion_residual=float(np.abs(main0 + main1 + cross - m).max()),
     )
     return dec
 

@@ -269,6 +269,25 @@ def test_payload_outside_the_subspace_exits_2(tmp_path, capsys, command, couple,
     assert "must lie in the" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+@pytest.mark.parametrize("scale", [1e308, 3e307])
+@pytest.mark.parametrize("args", [
+    ["factor", "sqrt"], ["factor", "holder"],
+    ["decompose", "--couple", "h1,h2", "--t", "0.5"],
+    ["decompose", "--couple", "h1,h2", "--t", "0.5", "--backend", "constructive"],
+    ["decompose", "--couple", "h1,hinf", "--t", "0.5", "--backend", "constructive"],
+], ids=["sqrt", "holder", "h1h2-oracle", "h1h2-constructive", "h1hinf-constructive"])
+def test_overflowing_coefficients_exit_2(tmp_path, capsys, scale, args):
+    # finite samples whose Fourier sum overflows: 1e308 gives a NaN membership
+    # residual, 3e307 passes membership with an infinite mean coefficient
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(CircleFunction(np.full(8, scale)).to_json()))
+    assert main([*args, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["kfunc", "decompose"])
 @pytest.mark.parametrize("flag, value", [
     ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"), ("--t", "nan"), ("--t", "inf"),

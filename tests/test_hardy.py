@@ -142,9 +142,8 @@ def test_squaring_route_scales_linearly():
 
 
 def test_squaring_route_reuses_the_square_root_bit_for_bit():
-    # f keeps its square-root factorization; a fresh copy factors again (both
-    # are built from samples: from_coeffs keeps its coefficients, not the FFT's)
-    f = CircleFunction(generate_instance("analytic_poly", ExperimentConfig(seed=3), 4, grid_n=32).samples)
+    # f keeps its square-root factorization; a fresh copy factors again
+    f = generate_instance("analytic_poly", ExperimentConfig(seed=3), 4, grid_n=32)
     for q in (1.5, 2.0, 4.0):
         for t in (0.3, 1.0, 3.0):
             d, e = hardy.decompose_h1_hq(f, q, t), hardy.decompose_h1_hq(CircleFunction(f.samples), q, t)

@@ -207,6 +207,9 @@ def test_k_routes_reject_nonmembers(couple, route):
     ("hardy", np.ones((8, 2, 2)) + 1e-7 * CircleFunction.harmonic(-1, 8).samples[:, None, None], False),
     ("triangular", np.triu(np.ones((3, 3))) + np.diag([1e-11, 0.0], -1), True),
     ("triangular", np.triu(np.ones((3, 3))) + np.diag([1e-9, 0.0], -1), False),
+    # the coefficients of eight samples of 1e308 overflow, so the residual is NaN
+    pytest.param("hardy", np.full(8, 1e308), False,
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"), id="hardy-nan-residual"),
 ])
 def test_require_member_is_one_rule_for_every_kind(kind, arr, member):
     if member:
